@@ -2,13 +2,14 @@
 
 Subcommands: ``locus`` (default), ``check``, ``link``, ``oracle``, ``nci``.
 Input comes from a file argument or stdin.  Exit codes: 0 success, 1 input
-error, 2 method disagreement.
+error or closed output pipe, 2 method disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -44,7 +45,6 @@ class ProblemSpec:
     char: int = 2
     e_max: int = 3
     k: int = 1
-    prune: bool = True
     face_text: str = ""
 
 
@@ -95,12 +95,13 @@ def _resolve(problem: ProblemInput) -> tuple[MonomialIdeal, SimplicialComplex]:
         if ideal.is_unit:
             raise ParseError("the unit ideal is not a valid input")
         complex_ = SimplicialComplex.from_ideal(ideal)
-    else:
-        assert problem.complex is not None
+    elif problem.complex is not None:
         complex_ = problem.complex
         ideal = complex_.to_ideal(context)
         if ideal.is_unit:
             raise ParseError("the void complex is not a valid input")
+    else:
+        raise ParseError("the problem gives neither an ideal nor facets")
     return ideal, complex_
 
 
@@ -167,13 +168,10 @@ def _run_locus(spec: ProblemSpec) -> Report:
     ideal, complex_ = _resolve(spec.problem)
     if spec.method == "combinatorial":
         result = non_fg_locus(
-            complex_,
-            context=spec.problem.context,
-            method="combinatorial",
-            prune=spec.prune,
+            complex_, context=spec.problem.context, method="combinatorial"
         )
     else:
-        result = non_fg_locus(ideal, method=spec.method, prune=spec.prune)
+        result = non_fg_locus(ideal, method=spec.method)
     data = _locus_payload(spec, result, ideal)
     return Report(data, _render_locus_text(data))
 
@@ -305,11 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus.add_argument(
         "--method", choices=("algebraic", "combinatorial", "both"), default="both"
     )
-    p_locus.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="re-test every face instead of inheriting memberships",
-    )
 
     p_check = sub.add_parser("check", help="finite-generation test at one face")
     common(p_check)
@@ -359,7 +352,6 @@ def main(argv: list[str] | None = None) -> int:
             char=getattr(ns, "char", 2),
             e_max=getattr(ns, "emax", 3),
             k=getattr(ns, "k", 1),
-            prune=not getattr(ns, "no_prune", False),
             face_text=getattr(ns, "face", ""),
         )
         report = run(spec)
@@ -370,10 +362,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if spec.fmt == "json":
-        print(json.dumps(report.data, indent=2, sort_keys=True))
-    else:
-        print(report.text)
+    try:
+        if spec.fmt == "json":
+            print(json.dumps(report.data, indent=2, sort_keys=True))
+        else:
+            print(report.text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; keep the interpreter's exit flush quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -152,14 +152,12 @@ def degree_generation_ideal(ideal: MonomialIdeal, p: int, e: int) -> MonomialIde
         raise ValueError("generation ideals start at degree 2")
     colon_memo = {a: frobenius_colon(ideal, p, a) for a in range(1, e)}
     total = ideal.context.zero_ideal()
-    for comp in _compositions(e):
-        shift = 0
-        product: MonomialIdeal | None = None
-        for a in comp:
-            factor = colon_memo[a].bracket(p**shift) if shift else colon_memo[a]
-            product = factor if product is None else product * factor
+    for first, *rest in _compositions(e):
+        product = colon_memo[first]
+        shift = first
+        for a in rest:
+            product = product * colon_memo[a].bracket(p**shift)
             shift += a
-        assert product is not None
         total = total + product
     return total
 

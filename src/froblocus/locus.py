@@ -6,14 +6,17 @@ of face primes: a face F belongs to the locus exactly when the colon ideal
 (I : x_F) fails the degree-two criterion.  Two independent routes compute
 the same face set:
 
-* algebraic -- run the criterion on (I : x_F) for the empty face and every
-  nonempty face of the complex of I;
+* algebraic -- run the criterion on (I : x_F);
 * combinatorial -- F contributes exactly when the core of link(F) (the link
   with its cone vertices removed) has a free face.
 
-The face set is closed under taking subfaces, so once a face is accepted
-its subfaces may be accepted without re-testing; ``prune=False`` re-tests
-everything, which the test-suite uses as a consistency check.
+Both tests depend on F only through the set S(F) of facets containing F:
+(I : x_F) is the intersection of the facet primes over S(F), and
+core(link F) = link(cl F) with cl(F) the intersection of S(F).  So each
+route tests only the closed faces (intersections of facets), largest first,
+skipping any closed face inside one already accepted; the accepted closed
+faces are exactly the maximal faces of the locus, and the face set is their
+downward closure.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ class Witness:
 
     kind is one of ``colon_generator`` (a generator of (K^[2]:K) outside
     K^[2] + (lcm)), ``free_face`` (a free face of the core of the link), or
-    ``implied_by`` (membership inherited from a superface during pruning).
+    ``implied_by`` (a non-maximal face, naming its maximal superface that
+    is largest by ``face_key``; membership is closed under taking subfaces).
     """
 
     kind: str
@@ -83,16 +87,26 @@ def _empty_result(context: RingContext, method: str) -> LocusResult:
     return LocusResult((), (), context.unit_ideal(), method, {})
 
 
-def _face_loop(faces, test, prune: bool) -> dict[Face, Witness]:
-    """Accept faces per ``test``; with pruning, subfaces of accepted faces
-    are accepted unchecked (membership is closed under taking subfaces)."""
+def _closed_faces(delta: SimplicialComplex) -> set[Face]:
+    """Every intersection of a nonempty set of facets."""
+    closed: set[Face] = set()
+    for h in delta.facets:
+        closed |= {h & c for c in closed}
+        closed.add(h)
+    return closed
+
+
+def _maximal_locus_faces(delta: SimplicialComplex, test) -> dict[Face, Witness]:
+    """The maximal faces accepted by ``test``, with their witnesses.
+
+    ``test`` must depend on a face only through the facets containing it,
+    so that a maximal accepted face is closed.  Closed faces are tried
+    largest first; one inside an accepted face is not maximal.
+    """
     accepted: dict[Face, Witness] = {}
-    for f in sorted(faces, key=face_key, reverse=True):
-        if prune:
-            implied = next((g for g in accepted if f < g), None)
-            if implied is not None:
-                accepted[f] = Witness("implied_by", face=implied)
-                continue
+    for f in sorted(_closed_faces(delta), key=face_key, reverse=True):
+        if any(f < g for g in accepted):
+            continue
         witness = test(f)
         if witness is not None:
             accepted[f] = witness
@@ -100,29 +114,36 @@ def _face_loop(faces, test, prune: bool) -> dict[Face, Witness]:
 
 
 def _assemble(
-    context: RingContext, accepted: dict[Face, Witness], method: str
+    context: RingContext, maximal: dict[Face, Witness], method: str
 ) -> LocusResult:
-    faces = tuple(sorted(accepted, key=face_key))
-    maximal = tuple(
-        f for f in faces if not any(f < g for g in faces)
-    )
-    if not faces:
-        defining = context.unit_ideal()
-    else:
-        defining = face_prime(maximal[0], context)
-        for f in maximal[1:]:
-            defining = defining.intersection(face_prime(f, context))
-    witnesses = {f: (accepted[f],) for f in faces}
-    return LocusResult(faces, maximal, defining, method, witnesses)
+    """Build the result from the maximal locus faces and their witnesses.
+
+    Every other face is a subface of some maximal face and is witnessed by
+    the one that is largest by ``face_key``.
+    """
+    if not maximal:
+        return _empty_result(context, method)
+    found: dict[Face, tuple[Witness, ...]] = {}
+    for m in sorted(maximal, key=face_key, reverse=True):
+        found[m] = (maximal[m],)
+        implied = (Witness("implied_by", face=m),)
+        for f in _subsets(m):
+            found.setdefault(f, implied)
+    faces = tuple(sorted(found, key=face_key))
+    maximal_faces = tuple(sorted(maximal, key=face_key))
+    defining = face_prime(maximal_faces[0], context)
+    for f in maximal_faces[1:]:
+        defining = defining.intersection(face_prime(f, context))
+    witnesses = {f: found[f] for f in faces}
+    return LocusResult(faces, maximal_faces, defining, method, witnesses)
 
 
 def locus_algebraic(
     ideal: MonomialIdeal,
     *,
-    prune: bool = True,
     _complex: SimplicialComplex | None = None,
 ) -> LocusResult:
-    """Compute the locus by running the colon criterion on every face."""
+    """Compute the locus by running the colon criterion on the closed faces."""
     _require_locus_input(ideal)
     context = ideal.context
     if ideal.is_zero:
@@ -136,15 +157,12 @@ def locus_algebraic(
             return None
         return Witness("colon_generator", monomial=offender)
 
-    accepted = _face_loop(delta.faces(), test, prune)
-    return _assemble(context, accepted, "algebraic")
+    return _assemble(context, _maximal_locus_faces(delta, test), "algebraic")
 
 
 def locus_combinatorial(
     delta: SimplicialComplex,
     context: RingContext | None = None,
-    *,
-    prune: bool = True,
 ) -> LocusResult:
     """Compute the locus by looking for free faces in cores of links."""
     if context is None:
@@ -159,8 +177,7 @@ def locus_combinatorial(
             return None
         return Witness("free_face", face=free[0])
 
-    accepted = _face_loop(delta.faces(), test, prune)
-    return _assemble(context, accepted, "combinatorial")
+    return _assemble(context, _maximal_locus_faces(delta, test), "combinatorial")
 
 
 def non_fg_locus(
@@ -168,7 +185,6 @@ def non_fg_locus(
     *,
     context: RingContext | None = None,
     method: str = "both",
-    prune: bool = True,
 ) -> LocusResult:
     """Dispatch to one or both routes; with both, cross-check them.
 
@@ -199,12 +215,12 @@ def non_fg_locus(
         raise TypeError("source must be a MonomialIdeal or SimplicialComplex")
 
     if method == "algebraic":
-        return locus_algebraic(ideal, prune=prune, _complex=delta)
+        return locus_algebraic(ideal, _complex=delta)
     if method == "combinatorial":
-        return locus_combinatorial(delta, context, prune=prune)
+        return locus_combinatorial(delta, context)
 
-    algebraic = locus_algebraic(ideal, prune=prune, _complex=delta)
-    combinatorial = locus_combinatorial(delta, context, prune=prune)
+    algebraic = locus_algebraic(ideal, _complex=delta)
+    combinatorial = locus_combinatorial(delta, context)
     if algebraic.faces != combinatorial.faces:
         only_a = [format_face(f) for f in algebraic.faces if f not in combinatorial.faces]
         only_c = [format_face(f) for f in combinatorial.faces if f not in algebraic.faces]
@@ -212,7 +228,11 @@ def non_fg_locus(
             "algebraic and combinatorial loci differ: "
             f"only algebraic {only_a}, only combinatorial {only_c}"
         )
-    assert algebraic.defining_ideal == combinatorial.defining_ideal
+    if algebraic.defining_ideal != combinatorial.defining_ideal:
+        raise MethodDisagreementError(
+            "algebraic and combinatorial defining ideals differ: "
+            f"{algebraic.defining_ideal} against {combinatorial.defining_ideal}"
+        )
     witnesses = {}
     for f in algebraic.faces:
         merged = algebraic.witnesses[f] + combinatorial.witnesses[f]
@@ -267,14 +287,9 @@ def nci_locus(ideal: MonomialIdeal) -> LocusResult:
     if verdict:
         return _empty_result(context, "nci")
     base = frozenset(range(context.n)) - ideal.support()
-    members = sorted(_subsets(base), key=face_key)
-    accepted: dict[Face, Witness] = {}
-    for f in members:
-        if f == base:
-            accepted[f] = Witness("colon_generator", monomial=offender)
-        else:
-            accepted[f] = Witness("implied_by", face=base)
-    return _assemble(context, accepted, "nci")
+    return _assemble(
+        context, {base: Witness("colon_generator", monomial=offender)}, "nci"
+    )
 
 
 def _subsets(vertices: frozenset[int]) -> list[Face]:

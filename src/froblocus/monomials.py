@@ -134,11 +134,11 @@ def _colon_mono_raw(
 def _colon_ideal_raw(
     avecs: tuple[tuple[int, ...], ...], bvecs: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
-    acc: tuple[tuple[int, ...], ...] | None = None
-    for f in bvecs:
-        cur = _colon_mono_raw(avecs, f)
-        acc = cur if acc is None else _intersect_raw(acc, cur)
-    assert acc is not None
+    if not bvecs:
+        raise ValueError("colon by the zero ideal is undefined")
+    acc = _colon_mono_raw(avecs, bvecs[0])
+    for f in bvecs[1:]:
+        acc = _intersect_raw(acc, _colon_mono_raw(avecs, f))
     return acc
 
 

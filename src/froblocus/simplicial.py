@@ -132,22 +132,6 @@ class SimplicialComplex:
                 out.append(f)
         return tuple(out)
 
-    def has_free_face(self) -> bool:
-        for f in self.faces():
-            if not f:
-                continue
-            count = 0
-            last = None
-            for h in self.facets:
-                if f <= h:
-                    count += 1
-                    last = h
-                    if count > 1:
-                        break
-            if count == 1 and f != last:
-                return True
-        return False
-
     def to_ideal(self, context: RingContext) -> MonomialIdeal:
         """The squarefree ideal of the non-faces (within the active universe).
 

@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
-from froblocus import MonomialIdeal, RingContext, SimplicialComplex
+from froblocus import (
+    LocusResult,
+    MonomialIdeal,
+    RingContext,
+    SimplicialComplex,
+    Witness,
+    face_key,
+    face_monomial,
+    face_prime,
+)
 from froblocus.criterion import _criterion
 
 
@@ -80,14 +90,68 @@ def random_squarefree_ideal(
     return ctx.ideal(gens)
 
 
-_criterion_cache: dict[tuple[int, tuple], tuple[bool, object]] = {}
+def _face_loop(faces, test, prune: bool) -> dict:
+    """Accept faces per ``test``, largest first by face_key; with pruning,
+    subfaces of accepted faces are accepted unchecked and witnessed by the
+    first accepted superface (membership is closed under taking subfaces)."""
+    accepted: dict = {}
+    for f in sorted(faces, key=face_key, reverse=True):
+        if prune:
+            implied = next((g for g in accepted if f < g), None)
+            if implied is not None:
+                accepted[f] = Witness("implied_by", face=implied)
+                continue
+        witness = test(f)
+        if witness is not None:
+            accepted[f] = witness
+    return accepted
 
 
-def cached_criterion(ideal: MonomialIdeal) -> bool:
-    """Criterion verdict memoized on the exponent data (test-side cache)."""
-    key = (ideal.context.n, ideal._vecs)
-    hit = _criterion_cache.get(key)
-    if hit is None:
-        hit = _criterion(ideal)
-        _criterion_cache[key] = hit
-    return hit[0]
+@lru_cache(maxsize=4)
+def _route(delta: SimplicialComplex, ctx: RingContext, route: str, prune: bool) -> dict:
+    """One route's accepted faces; cached so that the three methods on one
+    complex run each route once."""
+    if route == "algebraic":
+        ideal = delta.to_ideal(ctx)
+
+        def test(f):
+            verdict, offender = _criterion(ideal.colon(face_monomial(f, ctx)))
+            return None if verdict else Witness("colon_generator", monomial=offender)
+
+    else:
+
+        def test(f):
+            free = delta.link(f).core().free_faces()
+            return Witness("free_face", face=free[0]) if free else None
+
+    return _face_loop(delta.faces(), test, prune)
+
+
+def brute_force_locus(
+    delta: SimplicialComplex, ctx: RingContext, method: str, *, prune: bool = True
+) -> LocusResult:
+    """Reference locus that tries every face of the complex.
+
+    With ``prune`` the result matches ``non_fg_locus`` exactly, witnesses
+    included; without it every face is tested, so every face carries its own
+    test witnesses.  Independent of the closed-face route in froblocus.locus.
+    """
+    if delta.facets == (delta.vertices,):  # the full simplex: the zero ideal
+        return LocusResult((), (), ctx.unit_ideal(), method, {})
+    names = ("algebraic", "combinatorial") if method == "both" else (method,)
+    routes = [_route(delta, ctx, name, prune) for name in names]
+    if any(set(r) != set(routes[0]) for r in routes):
+        raise AssertionError(f"routes disagree on {delta}")
+    faces = tuple(sorted(routes[0], key=face_key))
+    maximal = tuple(f for f in faces if not any(f < g for g in faces))
+    defining = ctx.unit_ideal()
+    for f in maximal:
+        defining = defining.intersection(face_prime(f, ctx))
+    witnesses = {}
+    for f in faces:
+        merged: list = []
+        for r in routes:
+            if r[f] not in merged:
+                merged.append(r[f])
+        witnesses[f] = tuple(merged)
+    return LocusResult(faces, maximal, defining, method, witnesses)

@@ -5,8 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from froblocus import ParseError, RingContext, parse_face, parse_monomial, parse_problem
-from froblocus.cli import main
+from froblocus import (
+    ParseError,
+    ProblemInput,
+    RingContext,
+    parse_face,
+    parse_monomial,
+    parse_problem,
+)
+from froblocus.cli import ProblemSpec, main, run
 
 DATA = Path(__file__).parent / "data"
 
@@ -175,11 +182,6 @@ class TestCliSubcommands:
         assert "nearly complete intersection: yes" in out
         assert "J = (x_1, x_2, x_3)" in out
 
-    def test_no_prune_flag(self, capsys):
-        assert main(["locus", str(DATA / "ex1.txt"), "--no-prune"]) == 0
-        out = capsys.readouterr().out
-        assert "J = (x, y, w, a, b)" in out
-
     def test_single_method_runs(self, capsys):
         for method in ("algebraic", "combinatorial"):
             assert main(["locus", str(DATA / "ex3.txt"), "--method", method]) == 0
@@ -238,13 +240,52 @@ class TestCliErrors:
         assert proc.returncode == 0
         assert "J = (x_2, x_3, x_4, x_5)" in proc.stdout
 
+    def test_optimized_interpreter(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "froblocus.cli", "locus", str(DATA / "ex1.txt")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert "J = (x, y, w, a, b)" in proc.stdout
+
+    def test_closed_output_pipe(self, tmp_path):
+        import subprocess
+        import sys
+
+        # about 620 KB of JSON, far more than a pipe buffer holds
+        problem = tmp_path / "big.txt"
+        names = ", ".join(f"x{i}" for i in range(1, 13))
+        problem.write_text(
+            f"vars: {names}\nfacets: 1 2 3 4 5 6 7 8 9 10; 3 4 5 6 7 8 9 10 11 12\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "froblocus.cli", "locus", "--format", "json", str(problem)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+
+    def test_problem_without_ideal_or_facets(self, ctx6):
+        spec = ProblemSpec(problem=ProblemInput(ctx6))
+        with pytest.raises(ParseError):
+            run(spec)
+
     def test_disagreement_exit_code(self, capsys, monkeypatch, tmp_path):
         from froblocus import locus as locus_module
 
         real = locus_module.locus_combinatorial
 
-        def broken(delta, ctx=None, *, prune=True):
-            result = real(delta, ctx, prune=prune)
+        def broken(delta, ctx=None):
+            result = real(delta, ctx)
             result.faces = result.faces[1:]
             return result
 

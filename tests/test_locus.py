@@ -1,12 +1,16 @@
 """Locus computation: golden examples, invariants, the shortcut for
 nearly complete intersections, and the two-route cross-check."""
 
+import random
+
 import pytest
 
 from froblocus import (
     MethodDisagreementError,
     RingContext,
     SimplicialComplex,
+    Witness,
+    face_key,
     is_nci,
     locus_algebraic,
     locus_combinatorial,
@@ -14,7 +18,15 @@ from froblocus import (
     non_fg_locus,
 )
 from froblocus import locus as locus_module
-from helpers import context, face, ideal_of
+from froblocus.locus import METHODS
+from helpers import (
+    brute_force_locus,
+    context,
+    exhaustive_complexes,
+    face,
+    ideal_of,
+    random_complex,
+)
 
 
 @pytest.fixture
@@ -128,24 +140,23 @@ class TestResultInvariants:
         _, _, ideal = example_one
         assert non_fg_locus(ideal) == non_fg_locus(ideal)
 
-    def test_prune_matches_no_prune(self, example_one):
-        _, _, ideal = example_one
-        pruned = non_fg_locus(ideal, prune=True)
-        full = non_fg_locus(ideal, prune=False)
-        assert pruned.faces == full.faces
-        assert pruned.maximal_faces == full.maximal_faces
-        assert pruned.defining_ideal == full.defining_ideal
-
     def test_witnesses_present(self, example_one):
         _, _, ideal = example_one
-        result = non_fg_locus(ideal, method="both", prune=False)
-        for f in result.faces:
+        result = non_fg_locus(ideal, method="both")
+        for f in result.maximal_faces:
             kinds = [w.kind for w in result.witnesses[f]]
             assert kinds == ["colon_generator", "free_face"]
+        for f in result.faces:
+            if f in result.maximal_faces:
+                continue
+            supers = [g for g in result.maximal_faces if f < g]
+            assert result.witnesses[f] == (
+                Witness("implied_by", face=max(supers, key=face_key)),
+            )
 
     def test_pruned_witnesses_are_marked(self, example_one):
         _, _, ideal = example_one
-        result = locus_algebraic(ideal, prune=True)
+        result = locus_algebraic(ideal)
         empty_face_witness = result.witnesses[frozenset()][0]
         assert empty_face_witness.kind == "implied_by"
         assert empty_face_witness.face == face(3)
@@ -160,14 +171,68 @@ class TestResultInvariants:
         _, _, ideal = example_one
         real = locus_module.locus_combinatorial
 
-        def broken(delta, ctx=None, *, prune=True):
-            result = real(delta, ctx, prune=prune)
+        def broken(delta, ctx=None):
+            result = real(delta, ctx)
             result.faces = result.faces[1:]
             return result
 
         monkeypatch.setattr(locus_module, "locus_combinatorial", broken)
         with pytest.raises(MethodDisagreementError):
             locus_module.non_fg_locus(ideal, method="both")
+
+    def test_defining_ideal_disagreement_aborts(self, example_one, monkeypatch):
+        _, _, ideal = example_one
+        real = locus_module.locus_combinatorial
+
+        def broken(delta, ctx=None):
+            result = real(delta, ctx)
+            result.defining_ideal = ideal.context.unit_ideal()
+            return result
+
+        monkeypatch.setattr(locus_module, "locus_combinatorial", broken)
+        with pytest.raises(MethodDisagreementError, match="defining ideals"):
+            locus_module.non_fg_locus(ideal, method="both")
+
+
+def _random_corpus(count: int = 300, seed: int = 6309):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(6, 9)
+        out.append((context(n), random_complex(rng, n)))
+    return out
+
+
+class TestBruteForceOracle:
+    """The closed-face routes against testing every face of the complex."""
+
+    @staticmethod
+    def _check(ctx, delta):
+        for method in METHODS:
+            got = non_fg_locus(delta, context=ctx, method=method)
+            expected = brute_force_locus(delta, ctx, method)
+            assert got.faces == expected.faces, (delta, method)
+            assert got.maximal_faces == expected.maximal_faces, (delta, method)
+            assert got.defining_ideal == expected.defining_ideal, (delta, method)
+            assert got.witnesses == expected.witnesses, (delta, method)
+
+    def test_exhaustive_small_complexes(self):
+        for ctx, delta in exhaustive_complexes(5):
+            self._check(ctx, delta)
+
+    def test_random_complexes(self):
+        for ctx, delta in _random_corpus():
+            self._check(ctx, delta)
+
+    def test_every_face_tested(self):
+        for ctx, delta in exhaustive_complexes(4) + _random_corpus():
+            got = non_fg_locus(delta, context=ctx, method="both")
+            full = brute_force_locus(delta, ctx, "both", prune=False)
+            assert got.faces == full.faces
+            assert got.maximal_faces == full.maximal_faces
+            assert got.defining_ideal == full.defining_ideal
+            for f in got.maximal_faces:
+                assert got.witnesses[f] == full.witnesses[f]
 
 
 class TestNci:

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from froblocus import ContextMismatchError, ExponentLimitError, RingContext
+from froblocus.monomials import _colon_ideal_raw
 from helpers import context, ideal_of, mono, sq
 
 
@@ -200,6 +201,8 @@ class TestColon:
     def test_colon_by_zero_rejected(self, ctx3):
         with pytest.raises(ValueError):
             ideal_of(ctx3, (1,)).colon(ctx3.zero_ideal())
+        with pytest.raises(ValueError):
+            _colon_ideal_raw(((1, 0, 0),), ())
 
 
 class TestBracketPower:

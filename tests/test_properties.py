@@ -141,3 +141,34 @@ def test_locus_idempotent(ideal):
     first = locus_algebraic(ideal)
     second = locus_algebraic(ideal)
     assert first == second
+
+
+@st.composite
+def relabelled_complexes(draw, max_n=7):
+    delta = draw(complexes(max_n=max_n))
+    perm = draw(st.permutations(range(delta.n)))
+    return delta, perm
+
+
+@given(relabelled_complexes())
+def test_vertex_permutation_equivariance(case):
+    delta, perm = case
+    ctx = context(delta.n)
+    if delta.to_ideal(ctx).is_unit:
+        return
+    moved = SimplicialComplex(delta.n, [{perm[v] for v in f} for f in delta.facets])
+    before = non_fg_locus(delta, context=ctx)
+    after = non_fg_locus(moved, context=ctx)
+    assert set(after.maximal_faces) == {
+        frozenset(perm[v] for v in f) for f in before.maximal_faces
+    }
+
+    def relabel(exponents):
+        out = [0] * delta.n
+        for i, e in enumerate(exponents):
+            out[perm[i]] = e
+        return tuple(out)
+
+    assert {g.exponents for g in after.defining_ideal.generators} == {
+        relabel(g.exponents) for g in before.defining_ideal.generators
+    }

@@ -157,12 +157,10 @@ class TestLink:
 class TestFreeFaces:
     def test_path(self, paths):
         assert paths.free_faces() == (face(1), face(3))
-        assert paths.has_free_face()
 
     def test_triangle_boundary(self):
         delta = SimplicialComplex(3, [face(1, 2), face(2, 3), face(1, 3)])
         assert delta.free_faces() == ()
-        assert not delta.has_free_face()
 
     def test_single_facet(self):
         delta = SimplicialComplex(2, [face(1, 2)])
@@ -181,7 +179,7 @@ class TestCore:
         delta = SimplicialComplex(3, [face(1, 3), face(2, 3)])
         core = delta.core()
         assert core.facets == (face(1), face(2))
-        assert not core.has_free_face()
+        assert core.free_faces() == ()
 
     def test_core_of_simplex_is_irrelevant(self):
         delta = SimplicialComplex(2, [face(1, 2)])
