@@ -14,11 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-from .criterion import (
-    OracleParams,
-    _criterion,
-    degreewise_report,
-)
+from .criterion import OracleParams, criterion_witness, degreewise_report
 from .locus import (
     LocusResult,
     MethodDisagreementError,
@@ -29,7 +25,7 @@ from .locus import (
 )
 from .monomials import Monomial, MonomialIdeal
 from .parsing import ParseError, ProblemInput, parse_face, parse_problem
-from .simplicial import SimplicialComplex, face_monomial, face_prime
+from .simplicial import face_monomial, face_prime
 
 COMMANDS = ("locus", "check", "link", "oracle", "nci")
 
@@ -86,33 +82,14 @@ def _witness_json(w: Witness) -> dict[str, Any]:
     return out
 
 
-def _resolve(problem: ProblemInput) -> tuple[MonomialIdeal, SimplicialComplex]:
-    context = problem.context
-    if problem.ideal is not None:
-        ideal = problem.ideal
-        if not ideal.is_squarefree:
-            raise ParseError("generators must be squarefree")
-        if ideal.is_unit:
-            raise ParseError("the unit ideal is not a valid input")
-        complex_ = SimplicialComplex.from_ideal(ideal)
-    elif problem.complex is not None:
-        complex_ = problem.complex
-        ideal = complex_.to_ideal(context)
-        if ideal.is_unit:
-            raise ParseError("the void complex is not a valid input")
-    else:
-        raise ParseError("the problem gives neither an ideal nor facets")
-    return ideal, complex_
-
-
-def _locus_payload(spec: ProblemSpec, result: LocusResult, ideal: MonomialIdeal) -> dict:
+def _locus_payload(problem: ProblemInput, result: LocusResult) -> dict:
     return {
-        "vars": list(spec.problem.context.names),
-        "ideal": _ideal_json(ideal),
+        "vars": list(problem.context.names),
+        "ideal": _ideal_json(problem.ideal),
         "igl": [
             {
                 "face": _face_json(f),
-                "prime": _ideal_json(face_prime(f, spec.problem.context)),
+                "prime": _ideal_json(face_prime(f, problem.context)),
                 "witness": [_witness_json(w) for w in result.witnesses.get(f, ())],
             }
             for f in result.faces
@@ -165,25 +142,21 @@ def _witness_text(w: dict[str, Any]) -> str:
 
 
 def _run_locus(spec: ProblemSpec) -> Report:
-    ideal, complex_ = _resolve(spec.problem)
-    if spec.method == "combinatorial":
-        result = non_fg_locus(
-            complex_, context=spec.problem.context, method="combinatorial"
-        )
-    else:
-        result = non_fg_locus(ideal, method=spec.method)
-    data = _locus_payload(spec, result, ideal)
+    result = non_fg_locus(spec.problem, method=spec.method)
+    data = _locus_payload(spec.problem, result)
     return Report(data, _render_locus_text(data))
 
 
 def _run_check(spec: ProblemSpec) -> Report:
-    ideal, complex_ = _resolve(spec.problem)
-    context = spec.problem.context
+    problem = spec.problem
+    context = problem.context
     face = parse_face(spec.face_text, context.n)
-    if not ideal.is_zero and not complex_.is_face(face):
+    if not problem.is_zero and not problem.complex.is_face(face):
         raise ParseError(f"{_face_text(_face_json(face))} is not a face")
+    ideal = problem.ideal
     colon = ideal.colon(face_monomial(face, context))
-    verdict, offender = _criterion(colon)
+    offender = criterion_witness(colon)
+    verdict = offender is None
     data = {
         "vars": list(context.names),
         "ideal": _ideal_json(ideal),
@@ -204,10 +177,9 @@ def _run_check(spec: ProblemSpec) -> Report:
 
 
 def _run_link(spec: ProblemSpec) -> Report:
-    _, complex_ = _resolve(spec.problem)
     context = spec.problem.context
     face = parse_face(spec.face_text, context.n)
-    link = complex_.link(face)
+    link = spec.problem.complex.link(face)
     data = {
         "vars": list(context.names),
         "face": _face_json(face),
@@ -225,7 +197,7 @@ def _run_link(spec: ProblemSpec) -> Report:
 
 
 def _run_oracle(spec: ProblemSpec) -> Report:
-    ideal, _ = _resolve(spec.problem)
+    ideal = spec.problem.ideal
     if ideal.is_zero:
         raise ParseError("oracle needs a nonzero ideal")
     params = OracleParams(p=spec.char, e_max=spec.e_max, k=spec.k)
@@ -254,7 +226,7 @@ def _run_oracle(spec: ProblemSpec) -> Report:
 
 
 def _run_nci(spec: ProblemSpec) -> Report:
-    ideal, _ = _resolve(spec.problem)
+    ideal = spec.problem.ideal
     nci = is_nci(ideal)
     data: dict[str, Any] = {
         "vars": list(spec.problem.context.names),
@@ -268,7 +240,7 @@ def _run_nci(spec: ProblemSpec) -> Report:
     ]
     if nci:
         result = nci_locus(ideal)
-        data["locus"] = _locus_payload(spec, result, ideal)
+        data["locus"] = _locus_payload(spec.problem, result)
         lines.append("J = " + _gen_list_text(data["locus"]["j_ideal"]))
         if result.empty:
             lines.append("locus: empty")

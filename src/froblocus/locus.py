@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .criterion import _criterion
 from .monomials import Monomial, MonomialIdeal, RingContext
+from .parsing import ProblemInput
 from .simplicial import (
     Face,
     SimplicialComplex,
@@ -74,13 +75,6 @@ class LocusResult:
     @property
     def empty(self) -> bool:
         return not self.faces
-
-
-def _require_locus_input(ideal: MonomialIdeal) -> None:
-    if ideal.is_unit:
-        raise ValueError("locus undefined for the unit ideal")
-    if not ideal.is_squarefree:
-        raise ValueError("locus requires a squarefree ideal")
 
 
 def _empty_result(context: RingContext, method: str) -> LocusResult:
@@ -139,16 +133,15 @@ def _assemble(
 
 
 def locus_algebraic(
-    ideal: MonomialIdeal,
-    *,
-    _complex: SimplicialComplex | None = None,
+    source: MonomialIdeal | SimplicialComplex | ProblemInput,
+    context: RingContext | None = None,
 ) -> LocusResult:
     """Compute the locus by running the colon criterion on the closed faces."""
-    _require_locus_input(ideal)
-    context = ideal.context
-    if ideal.is_zero:
+    problem = ProblemInput.of(source, context)
+    context = problem.context
+    if problem.is_zero:
         return _empty_result(context, "algebraic")
-    delta = _complex if _complex is not None else SimplicialComplex.from_ideal(ideal)
+    ideal = problem.ideal
 
     def test(f: Face) -> Witness | None:
         colon = ideal.colon(face_monomial(f, context))
@@ -157,18 +150,18 @@ def locus_algebraic(
             return None
         return Witness("colon_generator", monomial=offender)
 
-    return _assemble(context, _maximal_locus_faces(delta, test), "algebraic")
+    return _assemble(context, _maximal_locus_faces(problem.complex, test), "algebraic")
 
 
 def locus_combinatorial(
-    delta: SimplicialComplex,
+    source: MonomialIdeal | SimplicialComplex | ProblemInput,
     context: RingContext | None = None,
 ) -> LocusResult:
     """Compute the locus by looking for free faces in cores of links."""
-    if context is None:
-        context = RingContext(tuple(f"x{i + 1}" for i in range(delta.n)))
-    if context.n != delta.n:
-        raise ValueError("context size does not match the complex")
+    problem = ProblemInput.of(source, context)
+    if problem.is_zero:
+        return _empty_result(problem.context, "combinatorial")
+    delta = problem.complex
 
     def test(f: Face) -> Witness | None:
         core = delta.link(f).core()
@@ -177,50 +170,33 @@ def locus_combinatorial(
             return None
         return Witness("free_face", face=free[0])
 
-    return _assemble(context, _maximal_locus_faces(delta, test), "combinatorial")
+    return _assemble(
+        problem.context, _maximal_locus_faces(delta, test), "combinatorial"
+    )
 
 
 def non_fg_locus(
-    source: MonomialIdeal | SimplicialComplex,
+    source: MonomialIdeal | SimplicialComplex | ProblemInput,
     *,
     context: RingContext | None = None,
     method: str = "both",
 ) -> LocusResult:
     """Dispatch to one or both routes; with both, cross-check them.
 
-    Accepts an ideal or a complex.  A disagreement between the two routes
-    is an internal invariant violation and raises MethodDisagreementError.
+    Accepts an ideal, a complex or a problem.  A disagreement between the
+    two routes is an internal invariant violation and raises
+    MethodDisagreementError.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    if isinstance(source, MonomialIdeal):
-        ideal = source
-        if context is not None and context != ideal.context:
-            raise ValueError("explicit context conflicts with the ideal's")
-        context = ideal.context
-        _require_locus_input(ideal)
-        if ideal.is_zero:
-            return _empty_result(context, method)
-        delta = SimplicialComplex.from_ideal(ideal)
-    elif isinstance(source, SimplicialComplex):
-        delta = source
-        if context is None:
-            context = RingContext(tuple(f"x{i + 1}" for i in range(delta.n)))
-        ideal = delta.to_ideal(context)
-        if ideal.is_unit:
-            raise ValueError("the void complex has the unit ideal; no locus")
-        if ideal.is_zero:
-            return _empty_result(context, method)
-    else:
-        raise TypeError("source must be a MonomialIdeal or SimplicialComplex")
-
+    problem = ProblemInput.of(source, context)
     if method == "algebraic":
-        return locus_algebraic(ideal, _complex=delta)
+        return locus_algebraic(problem)
     if method == "combinatorial":
-        return locus_combinatorial(delta, context)
+        return locus_combinatorial(problem)
 
-    algebraic = locus_algebraic(ideal, _complex=delta)
-    combinatorial = locus_combinatorial(delta, context)
+    algebraic = locus_algebraic(problem)
+    combinatorial = locus_combinatorial(problem)
     if algebraic.faces != combinatorial.faces:
         only_a = [format_face(f) for f in algebraic.faces if f not in combinatorial.faces]
         only_c = [format_face(f) for f in combinatorial.faces if f not in algebraic.faces]
@@ -233,14 +209,13 @@ def non_fg_locus(
             "algebraic and combinatorial defining ideals differ: "
             f"{algebraic.defining_ideal} against {combinatorial.defining_ideal}"
         )
-    witnesses = {}
-    for f in algebraic.faces:
-        merged = algebraic.witnesses[f] + combinatorial.witnesses[f]
-        seen: list[Witness] = []
-        for w in merged:
-            if w not in seen:
-                seen.append(w)
-        witnesses[f] = tuple(seen)
+    # a maximal face carries both routes' witnesses; every other face the
+    # implied_by witness that both derive from the same maximal faces
+    maximal = set(algebraic.maximal_faces)
+    witnesses = {
+        f: w + combinatorial.witnesses[f] if f in maximal else w
+        for f, w in algebraic.witnesses.items()
+    }
     return LocusResult(
         algebraic.faces,
         algebraic.maximal_faces,

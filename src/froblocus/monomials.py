@@ -184,23 +184,6 @@ class Monomial:
         _require_same_context(self.context, other.context)
         return _vec_divides(self.exponents, other.exponents)
 
-    def lcm(self, other: Monomial) -> Monomial:
-        _require_same_context(self.context, other.context)
-        return Monomial(self.context, map(max, self.exponents, other.exponents))
-
-    def gcd(self, other: Monomial) -> Monomial:
-        _require_same_context(self.context, other.context)
-        return Monomial(self.context, map(min, self.exponents, other.exponents))
-
-    def exact_quotient(self, other: Monomial) -> Monomial:
-        """self / other, requiring other | self."""
-        _require_same_context(self.context, other.context)
-        if not _vec_divides(other.exponents, self.exponents):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(
-            self.context, (x - y for x, y in zip(self.exponents, other.exponents))
-        )
-
     def __mul__(self, other: Monomial) -> Monomial:
         _require_same_context(self.context, other.context)
         return Monomial(
@@ -243,50 +226,32 @@ class MonomialIdeal:
     """A monomial ideal stored as its canonical minimal generating set.
 
     The zero ideal has no generators; the unit ideal is generated by 1.
-    ``localized_away`` records variables set to 1 by ``localize`` and does
-    not participate in equality.
     """
 
-    __slots__ = ("context", "generators", "localized_away", "_vecs", "_hash")
+    __slots__ = ("context", "generators", "_vecs", "_hash")
 
-    def __init__(
-        self,
-        context: RingContext,
-        generators: Iterable[Monomial] = (),
-        *,
-        localized_away: frozenset[int] = frozenset(),
-    ):
+    def __init__(self, context: RingContext, generators: Iterable[Monomial] = ()):
         vecs = []
         for g in generators:
             if not isinstance(g, Monomial):
                 raise TypeError(f"expected Monomial, got {type(g).__name__}")
             _require_same_context(context, g.context)
             vecs.append(g.exponents)
-        self._finish(context, _minimalize(vecs), frozenset(localized_away))
+        self._finish(context, _minimalize(vecs))
 
-    def _finish(
-        self,
-        context: RingContext,
-        vecs: tuple[tuple[int, ...], ...],
-        localized_away: frozenset[int],
-    ) -> None:
+    def _finish(self, context: RingContext, vecs: tuple[tuple[int, ...], ...]) -> None:
         self.context = context
         self._vecs = vecs
         self.generators = tuple(Monomial(context, v) for v in vecs)
-        self.localized_away = localized_away
         self._hash = hash((context.names, vecs))
 
     @classmethod
     def _from_vecs(
-        cls,
-        context: RingContext,
-        vecs: tuple[tuple[int, ...], ...],
-        *,
-        localized_away: frozenset[int] = frozenset(),
+        cls, context: RingContext, vecs: tuple[tuple[int, ...], ...]
     ) -> MonomialIdeal:
         # vecs must already be canonical (output of _minimalize)
         obj = object.__new__(cls)
-        obj._finish(context, vecs, localized_away)
+        obj._finish(context, vecs)
         return obj
 
     @property
@@ -296,10 +261,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return len(self._vecs) == 1 and not any(self._vecs[0])
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
 
     @property
     def is_squarefree(self) -> bool:
@@ -384,30 +345,6 @@ class MonomialIdeal:
         # q-th powers of an antichain of monomials stay an antichain
         return MonomialIdeal._from_vecs(self.context, tuple(sorted(vecs, reverse=True)))
 
-    def lcm_pairs(self) -> MonomialIdeal:
-        """Ideal of pairwise lcms of the minimal generators.
-
-        Zero ideal when there are fewer than two generators.
-        """
-        vecs = self._vecs
-        if len(vecs) < 2:
-            return self.context.zero_ideal()
-        out = [
-            tuple(map(max, vecs[i], vecs[j]))
-            for i in range(len(vecs))
-            for j in range(i + 1, len(vecs))
-        ]
-        return MonomialIdeal._from_vecs(self.context, _minimalize(out))
-
-    def generators_lcm(self) -> Monomial:
-        """The lcm of all minimal generators as a single monomial."""
-        if self.is_zero:
-            raise ValueError("the zero ideal has no generators")
-        out = self._vecs[0]
-        for v in self._vecs[1:]:
-            out = tuple(map(max, out, v))
-        return Monomial(self.context, out)
-
     def localize(self, variables: Iterable[int]) -> MonomialIdeal:
         """Monomial localization: set the listed variables to 1."""
         away = frozenset(variables)
@@ -418,11 +355,7 @@ class MonomialIdeal:
             tuple(0 if i in away else e for i, e in enumerate(v))
             for v in self._vecs
         ]
-        return MonomialIdeal._from_vecs(
-            self.context,
-            _minimalize(vecs),
-            localized_away=self.localized_away | away,
-        )
+        return MonomialIdeal._from_vecs(self.context, _minimalize(vecs))
 
     def support(self) -> frozenset[int]:
         return frozenset(i for v in self._vecs for i, e in enumerate(v) if e)

@@ -12,14 +12,12 @@ Blank lines and ``#`` comments are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .monomials import EXPONENT_LIMIT, Monomial, MonomialIdeal, RingContext
 from .simplicial import Face, SimplicialComplex
 
 
 class ParseError(ValueError):
-    """Malformed CLI or problem-file input."""
+    """Malformed CLI or problem-file input, or a problem ProblemInput rejects."""
 
 
 def parse_variables(text: str) -> RingContext:
@@ -77,13 +75,80 @@ def parse_face(text: str, n: int) -> Face:
     return frozenset(verts)
 
 
-@dataclass
 class ProblemInput:
-    """A parsed problem: the ring plus an ideal or a facet list."""
+    """One problem: the ring, its squarefree ideal and its complex.
 
-    context: RingContext
-    ideal: MonomialIdeal | None = None
-    complex: SimplicialComplex | None = None
+    Give an ideal or a complex; the other is derived on first use, at most
+    once.  The constructor is the one place that rejects a problem: the unit
+    ideal, the void complex, a non-squarefree ideal, a context that does not
+    fit, or neither an ideal nor a complex.  A complex without a context gets
+    ``x1..xn``.
+    """
+
+    __slots__ = ("context", "is_zero", "_ideal", "_complex")
+
+    def __init__(
+        self,
+        context: RingContext | None = None,
+        ideal: MonomialIdeal | None = None,
+        complex: SimplicialComplex | None = None,
+    ):
+        if ideal is not None and complex is not None:
+            raise ParseError("the problem gives both an ideal and facets")
+        if ideal is not None:
+            if context is not None and context != ideal.context:
+                raise ParseError("explicit context conflicts with the ideal's")
+            if not ideal.is_squarefree:
+                raise ParseError("generators must be squarefree")
+            if ideal.is_unit:
+                raise ParseError("the unit ideal is not a valid input")
+            context = ideal.context
+            self.is_zero = ideal.is_zero
+        elif complex is not None:
+            if context is None:
+                context = RingContext(tuple(f"x{i + 1}" for i in range(complex.n)))
+            if context.n != complex.n:
+                raise ParseError("context size does not match the complex")
+            if complex.is_void:
+                raise ParseError("the void complex is not a valid input")
+            # only the full simplex has the zero ideal
+            self.is_zero = complex.facets == (complex.vertices,)
+        else:
+            raise ParseError("missing ideal or facets declaration")
+        self.context = context
+        self._ideal = ideal
+        self._complex = complex
+
+    @classmethod
+    def of(
+        cls,
+        source: MonomialIdeal | SimplicialComplex | ProblemInput,
+        context: RingContext | None = None,
+    ) -> ProblemInput:
+        """The problem of an ideal or a complex; a problem is returned as is."""
+        if isinstance(source, ProblemInput):
+            if context is not None and context != source.context:
+                raise ParseError("explicit context conflicts with the problem's")
+            return source
+        if isinstance(source, MonomialIdeal):
+            return cls(context, ideal=source)
+        if isinstance(source, SimplicialComplex):
+            return cls(context, complex=source)
+        raise TypeError(
+            "source must be a MonomialIdeal, SimplicialComplex or ProblemInput"
+        )
+
+    @property
+    def ideal(self) -> MonomialIdeal:
+        if self._ideal is None:
+            self._ideal = self._complex.to_ideal(self.context)
+        return self._ideal
+
+    @property
+    def complex(self) -> SimplicialComplex:
+        if self._complex is None:
+            self._complex = SimplicialComplex.from_ideal(self._ideal)
+        return self._complex
 
 
 def parse_problem(text: str) -> ProblemInput:
@@ -123,6 +188,4 @@ def parse_problem(text: str) -> ProblemInput:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
     if context is None:
         raise ParseError("missing vars declaration")
-    if ideal is None and complex_ is None:
-        raise ParseError("missing ideal or facets declaration")
     return ProblemInput(context, ideal, complex_)

@@ -126,7 +126,7 @@ def test_criterion_5_method_agreement(corpus_with_ideals):
             assert locus_combinatorial(delta, ctx).empty
             checked += 1
             continue
-        algebraic = locus_algebraic(ideal, _complex=delta)
+        algebraic = locus_algebraic(delta, ctx)
         combinatorial = locus_combinatorial(delta, ctx)
         assert algebraic.faces == combinatorial.faces, (
             f"method disagreement on {delta!r}"
@@ -162,7 +162,7 @@ def test_criterion_8_downward_closure(corpus_with_ideals):
     for ctx, delta, ideal in corpus_with_ideals:
         if ideal.is_zero:
             continue
-        result = locus_algebraic(ideal, _complex=delta)
+        result = locus_algebraic(delta, ctx)
         members = set(result.faces)
         for f in members:
             for v in f:

@@ -198,6 +198,20 @@ class TestCliSubcommands:
         assert "J = (1)" in out
 
 
+class TestCliDerivations:
+    """Each subcommand converts between ideal and complex only as needed."""
+
+    def test_ideal_only_commands_build_no_complex(self, capsys, derivations):
+        for command in ("nci", "oracle"):
+            assert main([command, str(DATA / "ex1.txt")]) == 0
+        assert derivations["from_ideal"] == 0
+
+    def test_facets_locus_derives_the_ideal_once(self, capsys, derivations):
+        assert main(["locus", str(DATA / "ex2.txt")]) == 0
+        assert derivations["from_ideal"] == 0
+        assert derivations["to_ideal"] == 1
+
+
 class TestCliErrors:
     def test_missing_file(self, capsys):
         assert main(["locus", "/nonexistent/file.txt"]) == 1
@@ -275,9 +289,8 @@ class TestCliErrors:
         assert "Traceback" not in err
 
     def test_problem_without_ideal_or_facets(self, ctx6):
-        spec = ProblemSpec(problem=ProblemInput(ctx6))
         with pytest.raises(ParseError):
-            run(spec)
+            run(ProblemSpec(problem=ProblemInput(ctx6)))
 
     def test_disagreement_exit_code(self, capsys, monkeypatch, tmp_path):
         from froblocus import locus as locus_module

@@ -34,7 +34,7 @@ class TestCriterion:
         # the witness really separates the two sides
         colon = path_ideal.bracket(2).colon(path_ideal)
         rhs = path_ideal.bracket(2) + path_ideal.context.ideal(
-            [path_ideal.generators_lcm()]
+            [path_ideal.context.monomial(map(max, *(g.exponents for g in path_ideal)))]
         )
         assert witness in colon and witness not in rhs
 

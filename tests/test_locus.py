@@ -2,6 +2,7 @@
 nearly complete intersections, and the two-route cross-check."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -114,6 +115,57 @@ class TestEdgeCases:
             "x2",
             "x3",
         ]
+
+
+class TestProblemNormalForm:
+    """Every entry point validates and converts its input the same way."""
+
+    ENTRY_POINTS = [
+        locus_algebraic,
+        locus_combinatorial,
+        *(partial(non_fg_locus, method=method) for method in METHODS),
+    ]
+
+    @pytest.mark.parametrize(
+        "source, ctx, message",
+        [
+            (SimplicialComplex(3, []), None, "the void complex is not a valid input"),
+            (context(3).unit_ideal(), None, "the unit ideal is not a valid input"),
+            (
+                context(3).ideal([context(3).monomial((2, 0, 0))]),
+                None,
+                "generators must be squarefree",
+            ),
+            (
+                ideal_of(context(3), (1, 2)),
+                RingContext(("a", "b", "c")),
+                "explicit context conflicts with the ideal's",
+            ),
+            (
+                SimplicialComplex(3, [face(1, 2)]),
+                context(4),
+                "context size does not match the complex",
+            ),
+        ],
+    )
+    def test_invalid_input_rejected_alike(self, source, ctx, message):
+        for entry in self.ENTRY_POINTS:
+            with pytest.raises(ValueError) as caught:
+                entry(source, context=ctx)
+            assert str(caught.value) == message
+
+    def test_combinatorial_route_needs_no_ideal(self, derivations):
+        delta = SimplicialComplex(4, [face(1, 2, 3), face(3, 4)])
+        assert not non_fg_locus(delta, method="combinatorial").empty
+        assert derivations["to_ideal"] == 0
+        simplex = SimplicialComplex(2, [face(1, 2)])
+        assert non_fg_locus(simplex, method="combinatorial").empty
+        assert derivations["to_ideal"] == 0
+
+    def test_ideal_converted_once(self, derivations):
+        ctx = context(4)
+        non_fg_locus(ideal_of(ctx, (1, 2, 3), (3, 4)))
+        assert derivations["from_ideal"] == 1
 
 
 class TestResultInvariants:

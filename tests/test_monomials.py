@@ -46,14 +46,6 @@ class TestMonomial:
         assert ctx3.one().divides(mono(ctx3, 5, 0, 2))
         assert not mono(ctx3, 2, 0, 0).divides(sq(ctx3, 1, 2))
 
-    def test_lcm_gcd_quotient(self, ctx3):
-        a, b = sq(ctx3, 1, 2), sq(ctx3, 2, 3)
-        assert a.lcm(b) == sq(ctx3, 1, 2, 3)
-        assert a.gcd(b) == sq(ctx3, 2)
-        assert sq(ctx3, 1, 2, 3).exact_quotient(sq(ctx3, 2)) == sq(ctx3, 1, 3)
-        with pytest.raises(ValueError):
-            a.exact_quotient(b)
-
     def test_context_mismatch(self, ctx3):
         other = RingContext(("u", "v", "w"))
         with pytest.raises(ContextMismatchError):
@@ -244,27 +236,6 @@ class TestBracketPower:
                 assert direct == via_padded
 
 
-class TestLcmPairs:
-    def test_single_pair(self, ctx3):
-        assert ideal_of(ctx3, (1, 2), (2, 3)).lcm_pairs() == ideal_of(
-            ctx3, (1, 2, 3)
-        )
-
-    def test_small_ideals(self, ctx3):
-        assert ideal_of(ctx3, (1,)).lcm_pairs().is_zero
-        assert ctx3.zero_ideal().lcm_pairs().is_zero
-
-    def test_three_generators_derived(self, ctx5):
-        ideal = ideal_of(ctx5, (2, 3), (3, 4), (4, 5))
-        assert ideal.lcm_pairs() == ideal_of(ctx5, (2, 3, 4), (3, 4, 5))
-
-    def test_generators_lcm(self, ctx5):
-        ideal = ideal_of(ctx5, (2, 3), (3, 4), (4, 5))
-        assert ideal.generators_lcm() == sq(ctx5, 2, 3, 4, 5)
-        with pytest.raises(ValueError):
-            ctx5.zero_ideal().generators_lcm()
-
-
 class TestLocalization:
     def test_basic(self, ctx3):
         ideal = ideal_of(ctx3, (1, 2), (2, 3))
@@ -278,12 +249,6 @@ class TestLocalization:
         ctx = context(4)
         ideal = ideal_of(ctx, (1, 2, 3), (3, 4))
         assert ideal.localize({2}) == ideal_of(ctx, (1, 2), (4,))
-
-    def test_flag_recorded_but_ignored_by_equality(self, ctx3):
-        ideal = ideal_of(ctx3, (1, 2), (2, 3))
-        localized = ideal.localize({1})
-        assert localized.localized_away == {1}
-        assert localized == ideal_of(ctx3, (1,), (3,))
 
     def test_support_disjoint(self, ctx5):
         import random
