@@ -24,6 +24,22 @@ degrees is spanned by the composition products
 over all ways of writing e as an ordered sum of smaller positive parts.
 Degree e contributes no new algebra generators exactly when ``C_e`` equals
 those products plus ``I^{[p^e]}``.
+
+Two-part products suffice.  The algebra is graded, so
+``C_b * C_c^{[p^b]}`` lies in ``C_{b+c}``, and brackets are multiplicative
+(Miller-Sturmfels, *Combinatorial Commutative Algebra*, ch. 5).  A
+composition with first part a and rest c_1 + c_2 + ... = e - a therefore
+gives ``C_a * (C_{c_1} * C_{c_2}^{[p^{c_1}]} * ...)^{[p^a]}``, and by
+induction on the number of parts the factor in brackets lies in
+``C_{e-a}``.  Every product thus lies in a two-part product, which is itself
+a composition product, so the generated part is exactly
+
+    sum over 0 < a < e of  C_a * C_{e-a}^{[p^a]}:
+
+e - 1 products instead of one per composition (2^(e-1) - 1 of them).
+``degreewise_report`` computes each ``C_a`` once for all degrees and starts
+each degree's sum from ``I^{[p^e]}``, so products that the Frobenius power
+already covers are dropped before they are minimalised.
 """
 
 from __future__ import annotations
@@ -131,35 +147,55 @@ def frobenius_colon(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
     return ideal.bracket(p**e).colon(ideal)
 
 
-def _compositions(total: int) -> list[tuple[int, ...]]:
-    """Ordered ways to write total as a sum of >= 2 positive parts."""
-    def parts(t: int) -> list[tuple[int, ...]]:
-        if t == 0:
-            return [()]
-        return [(a, *rest) for a in range(1, t + 1) for rest in parts(t - a)]
+def _two_part_sum(
+    colons: dict[int, MonomialIdeal], p: int, e: int, base: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Canonical generators of base + sum over 0 < a < e of C_a * C_{e-a}^[p^a].
 
-    return [c for c in parts(total) if len(c) >= 2]
+    ``colons[a]`` holds C_a.  A product that a base generator divides is
+    dropped before minimalisation, so a base of I^[p^e] prunes at once every
+    product the Frobenius power already covers.
+    """
+    kept = list(base)
+    for a in range(1, e):
+        lows = colons[a]._vecs
+        for w in colons[e - a].bracket(p**a)._vecs:
+            for u in lows:
+                prod = tuple(x + y for x, y in zip(u, w))
+                if not any(_vec_divides(b, prod) for b in base):
+                    kept.append(prod)
+    return _minimalize(kept)
 
 
 def degree_generation_ideal(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
-    """Sum over compositions of e of the twisted products of lower colon ideals.
+    """The part of C_e = (I^[p^e] : I) generated by lower degrees.
 
-    For e = 2 this is C_1 * C_1^[p]; for e = 3 it adds C_1 * C_2^[p],
-    C_2 * C_1^[p^2] and C_1 * C_1^[p] * C_1^[p^2].
+    That is the sum of C_a * C_{e-a}^[p^a] over 0 < a < e: for e = 2 the
+    single product C_1 * C_1^[p], for e = 3 also C_2 * C_1^[p^2].  It equals
+    the sum of the twisted products over every composition of e (see the
+    module docstring).
     """
     _require_oracle_input(ideal)
     if e < 2:
         raise ValueError("generation ideals start at degree 2")
-    colon_memo = {a: frobenius_colon(ideal, p, a) for a in range(1, e)}
-    total = ideal.context.zero_ideal()
-    for first, *rest in _compositions(e):
-        product = colon_memo[first]
-        shift = first
-        for a in rest:
-            product = product * colon_memo[a].bracket(p**shift)
-            shift += a
-        total = total + product
-    return total
+    colons = {a: frobenius_colon(ideal, p, a) for a in range(1, e)}
+    return MonomialIdeal._from_vecs(ideal.context, _two_part_sum(colons, p, e, ()))
+
+
+def _degree_verdicts(
+    ideal: MonomialIdeal, p: int, degrees: range
+) -> tuple[tuple[int, bool], ...]:
+    """(e, C_e == I^[p^e] + generated part) for each e in degrees, computing
+    each C_a once for all of them."""
+    if not degrees:
+        return ()
+    if degrees.start < 2:
+        raise ValueError("generation ideals start at degree 2")
+    colons = {a: frobenius_colon(ideal, p, a) for a in range(1, degrees.stop)}
+    return tuple(
+        (e, colons[e]._vecs == _two_part_sum(colons, p, e, ideal.bracket(p**e)._vecs))
+        for e in degrees
+    )
 
 
 def new_generators_vanish(ideal: MonomialIdeal, p: int, e: int) -> bool:
@@ -169,19 +205,15 @@ def new_generators_vanish(ideal: MonomialIdeal, p: int, e: int) -> bool:
     the bracket power is the zero class of the graded piece, so it always
     belongs to the generated part.
     """
-    colon = frobenius_colon(ideal, p, e)
-    generated = degree_generation_ideal(ideal, p, e) + ideal.bracket(p**e)
-    return colon == generated
+    ((_, vanishes),) = _degree_verdicts(ideal, p, range(e, e + 1))
+    return vanishes
 
 
 def degreewise_report(
     ideal: MonomialIdeal, params: OracleParams = OracleParams()
 ) -> tuple[tuple[int, bool], ...]:
     """Per-degree oracle outcomes (e, vanishes) for k < e <= e_max."""
-    return tuple(
-        (e, new_generators_vanish(ideal, params.p, e))
-        for e in range(params.k + 1, params.e_max + 1)
-    )
+    return _degree_verdicts(ideal, params.p, range(params.k + 1, params.e_max + 1))
 
 
 def generated_up_to(ideal: MonomialIdeal, params: OracleParams = OracleParams()) -> bool:

@@ -16,7 +16,7 @@ from froblocus import (
     face_monomial,
     face_prime,
 )
-from froblocus.criterion import _criterion
+from froblocus.criterion import _criterion, frobenius_colon
 
 
 def context(n: int) -> RingContext:
@@ -88,6 +88,37 @@ def random_squarefree_ideal(
         size = rng.randint(1, ctx.n)
         gens.append(ctx.squarefree(rng.sample(range(ctx.n), size)))
     return ctx.ideal(gens)
+
+
+def _compositions(total: int) -> list[tuple[int, ...]]:
+    """Ordered ways to write total as a sum of >= 2 positive parts."""
+    def parts(t: int) -> list[tuple[int, ...]]:
+        if t == 0:
+            return [()]
+        return [(a, *rest) for a in range(1, t + 1) for rest in parts(t - a)]
+
+    return [c for c in parts(total) if len(c) >= 2]
+
+
+@lru_cache(maxsize=1 << 10)
+def _composition_product(ideal: MonomialIdeal, p: int, parts: tuple[int, ...]) -> MonomialIdeal:
+    """C_{a_1} * C_{a_2}^[p^{a_1}] * ... for parts (a_1, a_2, ...), with
+    C_a = (I^[p^a] : I); cached so that compositions sharing a prefix, in one
+    degree or across degrees, form it once."""
+    if len(parts) == 1:
+        return frobenius_colon(ideal, p, parts[0])
+    *head, last = parts
+    twisted = _composition_product(ideal, p, (last,)).bracket(p ** sum(head))
+    return _composition_product(ideal, p, tuple(head)) * twisted
+
+
+def composition_generation_ideal(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
+    """Brute-force generated part of degree e: the sum over every composition
+    a_1 + ... + a_s = e (s >= 2) of C_{a_1} * C_{a_2}^[p^{a_1}] * ...
+    The reference for degree_generation_ideal."""
+    return ideal.context.ideal(
+        g for parts in _compositions(e) for g in _composition_product(ideal, p, parts)
+    )
 
 
 def _face_loop(faces, test, prune: bool) -> dict:

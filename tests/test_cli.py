@@ -175,6 +175,32 @@ class TestCliSubcommands:
         ]
         assert data["generated_up_to"] is False
 
+    def test_oracle_degree_four_on_complete_graph(self, tmp_path):
+        import subprocess
+        import sys
+
+        # the ten edges on five vertices: a product per composition of each
+        # degree takes over a minute here, the two-part sum under a second
+        edges = ", ".join(f"x{i}*x{j}" for i in range(1, 6) for j in range(i + 1, 6))
+        problem = tmp_path / "k5.txt"
+        problem.write_text(f"vars: x1, x2, x3, x4, x5\nideal: {edges}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "froblocus.cli", "oracle", "--emax", "4", str(problem)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "vars: x1, x2, x3, x4, x5\n"
+            f"I = ({edges})\n"
+            "char: 2\n"
+            "degree 2: no new generators: yes\n"
+            "degree 3: no new generators: yes\n"
+            "degree 4: no new generators: yes\n"
+            "generated up to degree 1: yes\n"
+        )
+
     def test_nci(self, capsys):
         code = main(["nci", str(DATA / "ex3.txt")])
         out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """The degree-two finite-generation test and the degree-wise oracle."""
 
+import random
+
 import pytest
 
 from froblocus import (
@@ -12,8 +14,15 @@ from froblocus import (
     is_finitely_generated,
     new_generators_vanish,
 )
-from froblocus.criterion import _compositions
-from helpers import context, ideal_of, mono
+from helpers import (
+    _compositions,
+    composition_generation_ideal,
+    context,
+    exhaustive_complexes,
+    ideal_of,
+    mono,
+    random_squarefree_ideal,
+)
 
 
 @pytest.fixture
@@ -140,6 +149,39 @@ class TestGenerationIdeal:
         generated = degree_generation_ideal(ci, 2, 2)
         assert generated != colon
         assert generated + ci.bracket(4) == colon
+
+
+class TestTwoPartSum:
+    """degree_generation_ideal against the sum over every composition."""
+
+    @staticmethod
+    def _check(ideal, p, e_max):
+        report = dict(degreewise_report(ideal, OracleParams(p=p, e_max=e_max)))
+        assert list(report) == list(range(2, e_max + 1))
+        for e in report:
+            generated = composition_generation_ideal(ideal, p, e)
+            assert degree_generation_ideal(ideal, p, e) == generated, (ideal, p, e)
+            vanishes = frobenius_colon(ideal, p, e) == generated + ideal.bracket(p**e)
+            assert report[e] == vanishes, (ideal, p, e)
+        assert new_generators_vanish(ideal, p, e_max) == report[e_max]
+
+    def test_every_complex_on_four_vertices(self):
+        checked = 0
+        for ctx, delta in exhaustive_complexes(4):
+            ideal = delta.to_ideal(ctx)
+            if ideal.is_zero:
+                continue
+            for p in (2, 3):
+                self._check(ideal, p, 3)
+                checked += 1
+        # every antichain on 1-4 vertices but the four full simplices
+        assert checked == 2 * (2 + 5 + 19 + 167 - 4)
+
+    def test_random_ideals(self):
+        rng = random.Random(70007)
+        for _ in range(300):
+            ideal = random_squarefree_ideal(rng, context(rng.randint(5, 6)))
+            self._check(ideal, rng.choice((2, 3)), 4 if len(ideal) <= 3 else 3)
 
 
 class TestVanishing:
