@@ -8,6 +8,7 @@ error or closed output pipe, 2 method disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -262,7 +263,9 @@ def run(spec: ProblemSpec) -> Report:
     return _RUNNERS[spec.command](spec)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     parser = _Parser(prog="froblocus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,8 +3,10 @@
 For a proper squarefree ideal the primes at which the attached algebra is
 not finitely generated form a Zariski-closed set cut out by an intersection
 of face primes: a face F belongs to the locus exactly when the colon ideal
-(I : x_F) fails the degree-two criterion.  Two independent routes compute
-the same face set:
+(I : x_F) fails the degree-two criterion.  The locus is therefore a
+simplicial complex, determined by its maximal faces; its defining ideal J is
+the intersection of their face primes.  Two independent routes compute those
+maximal faces:
 
 * algebraic -- run the criterion on (I : x_F);
 * combinatorial -- F contributes exactly when the core of link(F) (the link
@@ -15,13 +17,15 @@ Both tests depend on F only through the set S(F) of facets containing F:
 core(link F) = link(cl F) with cl(F) the intersection of S(F).  So each
 route tests only the closed faces (intersections of facets), largest first,
 skipping any closed face inside one already accepted; the accepted closed
-faces are exactly the maximal faces of the locus, and the face set is their
-downward closure.
+faces are exactly the maximal faces of the locus.  A ``LocusResult`` stores
+only those, with their witnesses; the face list, J and the witnesses of the
+other faces are derived from them when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .criterion import _criterion
 from .monomials import Monomial, MonomialIdeal, RingContext
@@ -39,7 +43,7 @@ METHODS = ("algebraic", "combinatorial", "both")
 
 
 class MethodDisagreementError(RuntimeError):
-    """The algebraic and combinatorial routes produced different face sets."""
+    """The algebraic and combinatorial routes found different maximal faces."""
 
 
 @dataclass(frozen=True)
@@ -57,28 +61,54 @@ class Witness:
     face: Face | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocusResult:
-    """Faces of the non-finitely-generated locus and its defining ideal.
+    """The non-finitely-generated locus, stored as its maximal faces.
 
-    ``faces`` is downward closed and canonically ordered; ``maximal_faces``
-    are the inclusion-maximal members, whose face primes intersect to
-    ``defining_ideal``.  An empty locus is encoded by the unit ideal.
+    ``maximal`` maps each maximal face of the locus to the witnesses of the
+    route(s) that accepted it; an empty mapping is the empty locus.  The
+    other fields are read-only views derived on first use: ``faces`` (the
+    downward closure, canonically ordered), ``maximal_faces`` (canonically
+    ordered), ``defining_ideal`` (the intersection of the maximal faces'
+    primes; the unit ideal for an empty locus) and ``witnesses`` (a maximal
+    face's own witnesses; every other face is ``implied_by`` its maximal
+    superface largest by ``face_key``).
     """
 
-    faces: tuple[Face, ...]
-    maximal_faces: tuple[Face, ...]
-    defining_ideal: MonomialIdeal
+    context: RingContext
+    maximal: dict[Face, tuple[Witness, ...]]
     method: str
-    witnesses: dict[Face, tuple[Witness, ...]] = field(default_factory=dict)
 
     @property
     def empty(self) -> bool:
-        return not self.faces
+        return not self.maximal
 
+    @cached_property
+    def maximal_faces(self) -> tuple[Face, ...]:
+        return tuple(sorted(self.maximal, key=face_key))
 
-def _empty_result(context: RingContext, method: str) -> LocusResult:
-    return LocusResult((), (), context.unit_ideal(), method, {})
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        return SimplicialComplex(self.context.n, self.maximal).faces()
+
+    @cached_property
+    def defining_ideal(self) -> MonomialIdeal:
+        defining = self.context.unit_ideal()
+        for f in self.maximal_faces:
+            defining = defining.intersection(face_prime(f, self.context))
+        return defining
+
+    @cached_property
+    def witnesses(self) -> dict[Face, tuple[Witness, ...]]:
+        largest_first = self.maximal_faces[::-1]
+        out: dict[Face, tuple[Witness, ...]] = {}
+        for f in self.faces:
+            if f in self.maximal:
+                out[f] = self.maximal[f]
+            else:
+                g = next(g for g in largest_first if f < g)
+                out[f] = (Witness("implied_by", face=g),)
+        return out
 
 
 def _closed_faces(delta: SimplicialComplex) -> set[Face]:
@@ -90,46 +120,23 @@ def _closed_faces(delta: SimplicialComplex) -> set[Face]:
     return closed
 
 
-def _maximal_locus_faces(delta: SimplicialComplex, test) -> dict[Face, Witness]:
+def _maximal_locus_faces(
+    delta: SimplicialComplex, test
+) -> dict[Face, tuple[Witness, ...]]:
     """The maximal faces accepted by ``test``, with their witnesses.
 
     ``test`` must depend on a face only through the facets containing it,
     so that a maximal accepted face is closed.  Closed faces are tried
     largest first; one inside an accepted face is not maximal.
     """
-    accepted: dict[Face, Witness] = {}
+    accepted: dict[Face, tuple[Witness, ...]] = {}
     for f in sorted(_closed_faces(delta), key=face_key, reverse=True):
         if any(f < g for g in accepted):
             continue
         witness = test(f)
         if witness is not None:
-            accepted[f] = witness
+            accepted[f] = (witness,)
     return accepted
-
-
-def _assemble(
-    context: RingContext, maximal: dict[Face, Witness], method: str
-) -> LocusResult:
-    """Build the result from the maximal locus faces and their witnesses.
-
-    Every other face is a subface of some maximal face and is witnessed by
-    the one that is largest by ``face_key``.
-    """
-    if not maximal:
-        return _empty_result(context, method)
-    found: dict[Face, tuple[Witness, ...]] = {}
-    for m in sorted(maximal, key=face_key, reverse=True):
-        found[m] = (maximal[m],)
-        implied = (Witness("implied_by", face=m),)
-        for f in _subsets(m):
-            found.setdefault(f, implied)
-    faces = tuple(sorted(found, key=face_key))
-    maximal_faces = tuple(sorted(maximal, key=face_key))
-    defining = face_prime(maximal_faces[0], context)
-    for f in maximal_faces[1:]:
-        defining = defining.intersection(face_prime(f, context))
-    witnesses = {f: found[f] for f in faces}
-    return LocusResult(faces, maximal_faces, defining, method, witnesses)
 
 
 def locus_algebraic(
@@ -140,7 +147,7 @@ def locus_algebraic(
     problem = ProblemInput.of(source, context)
     context = problem.context
     if problem.is_zero:
-        return _empty_result(context, "algebraic")
+        return LocusResult(context, {}, "algebraic")
     ideal = problem.ideal
 
     def test(f: Face) -> Witness | None:
@@ -150,7 +157,7 @@ def locus_algebraic(
             return None
         return Witness("colon_generator", monomial=offender)
 
-    return _assemble(context, _maximal_locus_faces(problem.complex, test), "algebraic")
+    return LocusResult(context, _maximal_locus_faces(problem.complex, test), "algebraic")
 
 
 def locus_combinatorial(
@@ -160,7 +167,7 @@ def locus_combinatorial(
     """Compute the locus by looking for free faces in cores of links."""
     problem = ProblemInput.of(source, context)
     if problem.is_zero:
-        return _empty_result(problem.context, "combinatorial")
+        return LocusResult(problem.context, {}, "combinatorial")
     delta = problem.complex
 
     def test(f: Face) -> Witness | None:
@@ -170,7 +177,7 @@ def locus_combinatorial(
             return None
         return Witness("free_face", face=free[0])
 
-    return _assemble(
+    return LocusResult(
         problem.context, _maximal_locus_faces(delta, test), "combinatorial"
     )
 
@@ -183,9 +190,11 @@ def non_fg_locus(
 ) -> LocusResult:
     """Dispatch to one or both routes; with both, cross-check them.
 
-    Accepts an ideal, a complex or a problem.  A disagreement between the
-    two routes is an internal invariant violation and raises
-    MethodDisagreementError.
+    Accepts an ideal, a complex or a problem.  With both routes, the two
+    sets of maximal faces must be equal (the face list and J follow from
+    them); a disagreement is an internal invariant violation and raises
+    MethodDisagreementError.  Each maximal face then carries the algebraic
+    witness followed by the combinatorial one.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -195,34 +204,18 @@ def non_fg_locus(
     if method == "combinatorial":
         return locus_combinatorial(problem)
 
-    algebraic = locus_algebraic(problem)
-    combinatorial = locus_combinatorial(problem)
-    if algebraic.faces != combinatorial.faces:
-        only_a = [format_face(f) for f in algebraic.faces if f not in combinatorial.faces]
-        only_c = [format_face(f) for f in combinatorial.faces if f not in algebraic.faces]
+    algebraic = locus_algebraic(problem).maximal
+    combinatorial = locus_combinatorial(problem).maximal
+    if algebraic.keys() != combinatorial.keys():
+        only_a = sorted(algebraic.keys() - combinatorial.keys(), key=face_key)
+        only_c = sorted(combinatorial.keys() - algebraic.keys(), key=face_key)
         raise MethodDisagreementError(
-            "algebraic and combinatorial loci differ: "
-            f"only algebraic {only_a}, only combinatorial {only_c}"
+            "algebraic and combinatorial loci differ in their maximal faces: "
+            f"only algebraic {[format_face(f) for f in only_a]}, "
+            f"only combinatorial {[format_face(f) for f in only_c]}"
         )
-    if algebraic.defining_ideal != combinatorial.defining_ideal:
-        raise MethodDisagreementError(
-            "algebraic and combinatorial defining ideals differ: "
-            f"{algebraic.defining_ideal} against {combinatorial.defining_ideal}"
-        )
-    # a maximal face carries both routes' witnesses; every other face the
-    # implied_by witness that both derive from the same maximal faces
-    maximal = set(algebraic.maximal_faces)
-    witnesses = {
-        f: w + combinatorial.witnesses[f] if f in maximal else w
-        for f, w in algebraic.witnesses.items()
-    }
-    return LocusResult(
-        algebraic.faces,
-        algebraic.maximal_faces,
-        algebraic.defining_ideal,
-        "both",
-        witnesses,
-    )
+    merged = {f: w + combinatorial[f] for f, w in algebraic.items()}
+    return LocusResult(problem.context, merged, "both")
 
 
 def is_nci(ideal: MonomialIdeal) -> bool:
@@ -260,15 +253,8 @@ def nci_locus(ideal: MonomialIdeal) -> LocusResult:
     context = ideal.context
     verdict, offender = _criterion(ideal)
     if verdict:
-        return _empty_result(context, "nci")
+        return LocusResult(context, {}, "nci")
     base = frozenset(range(context.n)) - ideal.support()
-    return _assemble(
-        context, {base: Witness("colon_generator", monomial=offender)}, "nci"
+    return LocusResult(
+        context, {base: (Witness("colon_generator", monomial=offender),)}, "nci"
     )
-
-
-def _subsets(vertices: frozenset[int]) -> list[Face]:
-    out: list[Face] = [frozenset()]
-    for v in sorted(vertices):
-        out += [f | {v} for f in out]
-    return out

@@ -8,6 +8,7 @@ pure functions, safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -70,6 +71,9 @@ class RingContext:
     def squarefree(self, support: Iterable[int]) -> Monomial:
         """The squarefree monomial whose support is the given index set."""
         indices = set(support)
+        for i in indices:
+            if not 0 <= i < self.n:
+                raise ValueError(f"variable index {i} out of range")
         return Monomial(self, tuple(1 if j in indices else 0 for j in range(self.n)))
 
     def ideal(self, generators: Iterable[Monomial] = ()) -> MonomialIdeal:
@@ -148,7 +152,7 @@ class Monomial:
     __slots__ = ("context", "exponents", "_hash")
 
     def __init__(self, context: RingContext, exponents: Iterable[int]):
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(map(operator.index, exponents))
         if len(exps) != context.n:
             raise ValueError(
                 f"expected {context.n} exponents, got {len(exps)}"

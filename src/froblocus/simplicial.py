@@ -37,6 +37,9 @@ def face_monomial(face: Face, context: RingContext) -> Monomial:
 
 def face_prime(face: Face, context: RingContext) -> MonomialIdeal:
     """The prime ideal generated by the variables outside the face."""
+    for v in face:
+        if not 0 <= v < context.n:
+            raise ValueError(f"vertex {v} out of range 0..{context.n - 1}")
     gens = [context.variable(i) for i in range(context.n) if i not in face]
     return context.ideal(gens)
 
@@ -184,18 +187,18 @@ class SimplicialComplex:
 
 
 def _minimal_transversals(supports: list[frozenset[int]]) -> list[frozenset[int]]:
-    """Minimal hitting sets of a family of vertex sets, by recursive splitting."""
+    """Minimal hitting sets of a family of vertex sets, by splitting on the
+    vertices of the first set not yet hit (an explicit stack: a nested
+    function that calls itself is a reference cycle, freed only by the
+    cyclic collector)."""
     found: list[frozenset[int]] = []
-
-    def extend(remaining: list[frozenset[int]], chosen: frozenset[int]) -> None:
+    stack = [(list(supports), frozenset())]
+    while stack:
+        remaining, chosen = stack.pop()
         if not remaining:
             found.append(chosen)
-            return
-        first = remaining[0]
-        for v in sorted(first):
-            rest = [s for s in remaining[1:] if v not in s]
-            extend(rest, chosen | {v})
-
-    extend(list(supports), frozenset())
+            continue
+        for v in sorted(remaining[0]):
+            stack.append(([s for s in remaining[1:] if v not in s], chosen | {v}))
     minimal = [c for c in set(found) if not any(d < c for d in found)]
     return sorted(minimal, key=face_key)

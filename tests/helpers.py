@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from froblocus import (
-    LocusResult,
     MonomialIdeal,
     RingContext,
     SimplicialComplex,
@@ -162,17 +162,29 @@ def _route(delta: SimplicialComplex, ctx: RingContext, route: str, prune: bool) 
     return _face_loop(delta.faces(), test, prune)
 
 
+@dataclass(frozen=True)
+class BruteForceLocus:
+    """The reference locus, with every field computed on its own."""
+
+    faces: tuple
+    maximal_faces: tuple
+    defining_ideal: MonomialIdeal
+    method: str
+    witnesses: dict
+
+
 def brute_force_locus(
     delta: SimplicialComplex, ctx: RingContext, method: str, *, prune: bool = True
-) -> LocusResult:
+) -> BruteForceLocus:
     """Reference locus that tries every face of the complex.
 
     With ``prune`` the result matches ``non_fg_locus`` exactly, witnesses
     included; without it every face is tested, so every face carries its own
-    test witnesses.  Independent of the closed-face route in froblocus.locus.
+    test witnesses.  Independent of froblocus.locus: J is the intersection
+    of the primes of every locus face, not only of the maximal ones.
     """
     if delta.facets == (delta.vertices,):  # the full simplex: the zero ideal
-        return LocusResult((), (), ctx.unit_ideal(), method, {})
+        return BruteForceLocus((), (), ctx.unit_ideal(), method, {})
     names = ("algebraic", "combinatorial") if method == "both" else (method,)
     routes = [_route(delta, ctx, name, prune) for name in names]
     if any(set(r) != set(routes[0]) for r in routes):
@@ -180,7 +192,7 @@ def brute_force_locus(
     faces = tuple(sorted(routes[0], key=face_key))
     maximal = tuple(f for f in faces if not any(f < g for g in faces))
     defining = ctx.unit_ideal()
-    for f in maximal:
+    for f in faces:
         defining = defining.intersection(face_prime(f, ctx))
     witnesses = {}
     for f in faces:
@@ -189,4 +201,4 @@ def brute_force_locus(
             if r[f] not in merged:
                 merged.append(r[f])
         witnesses[f] = tuple(merged)
-    return LocusResult(faces, maximal, defining, method, witnesses)
+    return BruteForceLocus(faces, maximal, defining, method, witnesses)

@@ -261,6 +261,14 @@ class TestCliErrors:
     def test_bad_flag(self, capsys):
         assert main(["locus", "--method", "psychic"]) == 1
 
+    def test_parser_reused_after_usage_error(self, capsys):
+        args = ["locus", "--method", "combinatorial", str(DATA / "ex1.txt")]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main(["locus", "--method", "psychic"]) == 1
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -319,14 +327,15 @@ class TestCliErrors:
             run(ProblemSpec(problem=ProblemInput(ctx6)))
 
     def test_disagreement_exit_code(self, capsys, monkeypatch, tmp_path):
+        from froblocus import LocusResult
         from froblocus import locus as locus_module
 
         real = locus_module.locus_combinatorial
 
         def broken(delta, ctx=None):
             result = real(delta, ctx)
-            result.faces = result.faces[1:]
-            return result
+            kept = dict(list(result.maximal.items())[1:])
+            return LocusResult(result.context, kept, result.method)
 
         monkeypatch.setattr(locus_module, "locus_combinatorial", broken)
         assert main(["locus", str(DATA / "ex3.txt")]) == 2

@@ -2,11 +2,13 @@
 nearly complete intersections, and the two-route cross-check."""
 
 import random
+import time
 from functools import partial
 
 import pytest
 
 from froblocus import (
+    LocusResult,
     MethodDisagreementError,
     RingContext,
     SimplicialComplex,
@@ -225,25 +227,33 @@ class TestResultInvariants:
 
         def broken(delta, ctx=None):
             result = real(delta, ctx)
-            result.faces = result.faces[1:]
-            return result
+            kept = dict(list(result.maximal.items())[1:])
+            return LocusResult(result.context, kept, result.method)
 
         monkeypatch.setattr(locus_module, "locus_combinatorial", broken)
-        with pytest.raises(MethodDisagreementError):
+        with pytest.raises(
+            MethodDisagreementError,
+            match=r"only algebraic \['\{3\}'\], only combinatorial \[\]",
+        ):
             locus_module.non_fg_locus(ideal, method="both")
 
-    def test_defining_ideal_disagreement_aborts(self, example_one, monkeypatch):
+    def test_views_are_read_only(self, example_one):
         _, _, ideal = example_one
-        real = locus_module.locus_combinatorial
+        result = non_fg_locus(ideal)
+        with pytest.raises(AttributeError):
+            result.faces = ()
 
-        def broken(delta, ctx=None):
-            result = real(delta, ctx)
-            result.defining_ideal = ideal.context.unit_ideal()
-            return result
-
-        monkeypatch.setattr(locus_module, "locus_combinatorial", broken)
-        with pytest.raises(MethodDisagreementError, match="defining ideals"):
-            locus_module.non_fg_locus(ideal, method="both")
+    @pytest.mark.parametrize("method", METHODS)
+    def test_large_locus_is_not_expanded(self, method):
+        # the locus is the 20-simplex {3..22}: about a million faces, which
+        # a reader of maximal_faces and defining_ideal never needs
+        ctx = context(24)
+        delta = SimplicialComplex(24, [range(22), range(2, 24)])
+        start = time.perf_counter()
+        result = non_fg_locus(delta, context=ctx, method=method)
+        assert result.maximal_faces == (frozenset(range(2, 22)),)
+        assert result.defining_ideal == ideal_of(ctx, (1,), (2,), (23,), (24,))
+        assert time.perf_counter() - start < 1.0
 
 
 def _random_corpus(count: int = 300, seed: int = 6309):

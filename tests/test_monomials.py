@@ -65,6 +65,20 @@ class TestMonomial:
         assert sq(ctx3, 1, 3).is_squarefree
         assert not mono(ctx3, 2, 0, 0).is_squarefree
 
+    def test_exponents_must_be_integers(self, ctx3):
+        with pytest.raises(TypeError):
+            mono(ctx3, 1.7, 0, 0)
+        with pytest.raises(TypeError):
+            mono(ctx3, "2", 0, 0)
+
+    def test_squarefree_index_out_of_range(self):
+        ctx = context(2)
+        with pytest.raises(ValueError, match="out of range"):
+            ctx.squarefree([5])
+        with pytest.raises(ValueError, match="out of range"):
+            ctx.squarefree([0, -1])
+        assert ctx.squarefree([0, 1]) == mono(ctx, 1, 1)
+
 
 class TestCanonicalForm:
     def test_minimalize_prunes(self, ctx3):

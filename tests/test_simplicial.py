@@ -1,5 +1,7 @@
 """Complexes, the squarefree correspondence, links and free faces."""
 
+import gc
+
 import pytest
 
 from froblocus import RingContext, SimplicialComplex, face_monomial, face_prime
@@ -114,6 +116,18 @@ class TestStanleyCorrespondence:
         with pytest.raises(ValueError):
             SimplicialComplex.from_ideal(ctx.ideal([ctx.monomial((2, 0, 0))]))
 
+    def test_from_ideal_frees_its_work_at_once(self):
+        # a reference cycle would keep every transversal alive until the
+        # cyclic collector runs
+        ideal = ideal_of(context(5), (2, 3), (3, 4), (4, 5))
+        gc.collect()
+        gc.disable()
+        try:
+            SimplicialComplex.from_ideal(ideal)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_round_trip_example_two(self):
         ctx = context(5)
         ideal = ideal_of(ctx, (2, 3), (3, 4), (4, 5))
@@ -208,6 +222,13 @@ class TestFacePrimitives:
         assert face_monomial(frozenset(), ctx).is_one
         assert face_prime(face(1, 2, 3), ctx).is_zero
         assert face_monomial(face(1, 2), ctx) == sq(ctx, 1, 2)
+
+    def test_vertex_out_of_range(self):
+        ctx = context(2)
+        with pytest.raises(ValueError, match="out of range"):
+            face_prime(frozenset({9}), ctx)
+        with pytest.raises(ValueError, match="out of range"):
+            face_monomial(frozenset({2}), ctx)
 
     def test_sandwich(self):
         # I is contained in (I : x_F), contained in the face prime
