@@ -6,26 +6,26 @@ of face primes: a face F belongs to the locus exactly when the colon ideal
 (I : x_F) fails the degree-two criterion.  The locus is therefore a
 simplicial complex, determined by its maximal faces; its defining ideal J is
 the intersection of their face primes.  Two independent routes compute those
-maximal faces:
+maximal faces: the algebraic one runs the criterion on (I : x_F); the
+combinatorial one asks whether link(cl F) has a free face, where cl F is the
+intersection of the facets S(F) containing F (the core of link F).
 
-* algebraic -- run the criterion on (I : x_F);
-* combinatorial -- F contributes exactly when the core of link(F) (the link
-  with its cone vertices removed) has a free face.
-
-Both tests depend on F only through the set S(F) of facets containing F:
-(I : x_F) is the intersection of the facet primes over S(F), and
-core(link F) = link(cl F) with cl(F) the intersection of S(F).  So each
-route tests only the closed faces (intersections of facets), largest first,
-skipping any closed face inside one already accepted; the accepted closed
-faces are exactly the maximal faces of the locus.  A ``LocusResult`` stores
-only those, with their witnesses; the face list, J and the witnesses of the
-other faces are derived from them when first read.
+A *free ridge* is a set h - v, for a facet h and v in h, that lies in no
+other facet.  link(cl F), with facets h - cl F for h in S(F), has a free face
+exactly when it has a free ridge (grow the face inside its only facet), and
+(h - cl F) - v is one exactly when h - v is a free ridge with v outside cl F,
+that is, with v in h - g for some g in S(F).  So every maximal locus face is
+a meet h & g of two facets; both routes test only these meets, largest
+first, skipping any inside one already accepted.  The combinatorial test is
+O(k^2 n) for k facets: h - v lies in g exactly when h - g = {v}.  A
+``LocusResult`` stores only the maximal faces, with their witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .criterion import _criterion
 from .monomials import Monomial, MonomialIdeal, RingContext
@@ -51,7 +51,7 @@ class Witness:
     """Why a face was accepted into the locus.
 
     kind is one of ``colon_generator`` (a generator of (K^[2]:K) outside
-    K^[2] + (lcm)), ``free_face`` (a free face of the core of the link), or
+    K^[2] + (lcm)), ``free_face`` (the smallest free face of link(cl F)), or
     ``implied_by`` (a non-maximal face, naming its maximal superface that
     is largest by ``face_key``; membership is closed under taking subfaces).
     """
@@ -111,26 +111,15 @@ class LocusResult:
         return out
 
 
-def _closed_faces(delta: SimplicialComplex) -> set[Face]:
-    """Every intersection of a nonempty set of facets."""
-    closed: set[Face] = set()
-    for h in delta.facets:
-        closed |= {h & c for c in closed}
-        closed.add(h)
-    return closed
-
-
 def _maximal_locus_faces(
     delta: SimplicialComplex, test
 ) -> dict[Face, tuple[Witness, ...]]:
-    """The maximal faces accepted by ``test``, with their witnesses.
-
-    ``test`` must depend on a face only through the facets containing it,
-    so that a maximal accepted face is closed.  Closed faces are tried
-    largest first; one inside an accepted face is not maximal.
-    """
+    """The maximal faces accepted by ``test`` (a locus membership test), with
+    their witnesses: meets of two facets, largest first, skipping any meet
+    inside an accepted face."""
+    meets = {h & g for h, g in combinations(delta.facets, 2)}
     accepted: dict[Face, tuple[Witness, ...]] = {}
-    for f in sorted(_closed_faces(delta), key=face_key, reverse=True):
+    for f in sorted(meets, key=face_key, reverse=True):
         if any(f < g for g in accepted):
             continue
         witness = test(f)
@@ -139,11 +128,33 @@ def _maximal_locus_faces(
     return accepted
 
 
+def _smallest_free_face(holders: list[Face], closure: Face) -> Face:
+    """The smallest free face of link(cl F) by ``face_key``, for S(F) and cl F.
+
+    f inside h - cl F lies in no other link facet exactly when it meets each
+    gap h - g (g in S(F), g != h); a smallest such f is a minimal hitting set
+    of the gaps, so it has fewer than |S(F)| vertices, all in the gaps, and
+    is free unless it is all of h - cl F.
+    """
+    stars = [(h, [h - g for g in holders if g != h]) for h in holders]
+    for size in range(1, len(holders)):
+        found = [
+            c
+            for h, gaps in stars
+            if size < len(h - closure)
+            for c in combinations(sorted(frozenset().union(*gaps)), size)
+            if all(not gap.isdisjoint(c) for gap in gaps)
+        ]
+        if found:
+            return frozenset(min(found))
+    raise RuntimeError(f"no free face in the link of {format_face(closure)}")
+
+
 def locus_algebraic(
     source: MonomialIdeal | SimplicialComplex | ProblemInput,
     context: RingContext | None = None,
 ) -> LocusResult:
-    """Compute the locus by running the colon criterion on the closed faces."""
+    """Compute the locus by running the colon criterion on the facet meets."""
     problem = ProblemInput.of(source, context)
     context = problem.context
     if problem.is_zero:
@@ -164,22 +175,22 @@ def locus_combinatorial(
     source: MonomialIdeal | SimplicialComplex | ProblemInput,
     context: RingContext | None = None,
 ) -> LocusResult:
-    """Compute the locus by looking for free faces in cores of links."""
+    """Compute the locus by looking for free ridges among the facets."""
     problem = ProblemInput.of(source, context)
     if problem.is_zero:
         return LocusResult(problem.context, {}, "combinatorial")
     delta = problem.complex
 
     def test(f: Face) -> Witness | None:
-        core = delta.link(f).core()
-        free = core.free_faces()
-        if not free:
-            return None
-        return Witness("free_face", face=free[0])
+        holders = [h for h in delta.facets if f <= h]
+        closure = frozenset.intersection(*holders)
+        for h in holders:
+            single = {v for g in holders if len(h - g) == 1 for v in h - g}
+            if h - closure - single:
+                return Witness("free_face", face=_smallest_free_face(holders, closure))
+        return None
 
-    return LocusResult(
-        problem.context, _maximal_locus_faces(delta, test), "combinatorial"
-    )
+    return LocusResult(problem.context, _maximal_locus_faces(delta, test), "combinatorial")
 
 
 def non_fg_locus(

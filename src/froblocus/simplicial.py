@@ -13,7 +13,7 @@ face) are distinct representable states.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .monomials import Monomial, MonomialIdeal, RingContext
 
@@ -104,9 +104,6 @@ class SimplicialComplex:
             self._faces = tuple(sorted(seen, key=face_key))
         return self._faces
 
-    def __iter__(self) -> Iterator[Face]:
-        return iter(self.faces())
-
     def link(self, face: Iterable[int]) -> SimplicialComplex:
         """The link of a face, on the universe minus the face."""
         f = frozenset(face)
@@ -114,15 +111,6 @@ class SimplicialComplex:
             raise ValueError(f"{format_face(f)} is not a face")
         new_facets = [h - f for h in self.facets if f <= h]
         return SimplicialComplex(self.n, new_facets, vertices=self.vertices - f)
-
-    def core(self) -> SimplicialComplex:
-        """The complex with its cone vertices (common to all facets) removed."""
-        if not self.facets:
-            return self
-        apex = frozenset.intersection(*self.facets)
-        if not apex:
-            return self
-        return self.link(apex)
 
     def free_faces(self) -> tuple[Face, ...]:
         """Nonempty proper faces contained in exactly one facet."""

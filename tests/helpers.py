@@ -138,6 +138,16 @@ def _face_loop(faces, test, prune: bool) -> dict:
     return accepted
 
 
+def core(delta: SimplicialComplex) -> SimplicialComplex:
+    """The complex with its cone vertices (common to all facets) removed."""
+    if not delta.facets:
+        return delta
+    apex = frozenset.intersection(*delta.facets)
+    if not apex:
+        return delta
+    return delta.link(apex)
+
+
 # the n <= 5 corpus asks for 115k criteria of only 2.4k distinct colon ideals
 _criterion_of = lru_cache(maxsize=1 << 16)(_criterion)
 
@@ -156,7 +166,7 @@ def _route(delta: SimplicialComplex, ctx: RingContext, route: str, prune: bool) 
     else:
 
         def test(f):
-            free = delta.link(f).core().free_faces()
+            free = core(delta.link(f)).free_faces()
             return Witness("free_face", face=free[0]) if free else None
 
     return _face_loop(delta.faces(), test, prune)

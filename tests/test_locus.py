@@ -256,6 +256,53 @@ class TestResultInvariants:
         assert time.perf_counter() - start < 1.0
 
 
+class TestManyFacets:
+    """Inputs whose intersections of facets or link faces are exponential in
+    number: the routes test only the meets of two facets, and the
+    combinatorial one builds no link."""
+
+    def test_combinatorial_route_builds_no_link(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the combinatorial route enumerated faces")
+
+        for name in ("link", "faces", "free_faces"):
+            monkeypatch.setattr(SimplicialComplex, name, refuse)
+        delta = SimplicialComplex(4, [face(1, 2, 3), face(3, 4)])
+        assert locus_combinatorial(delta).maximal == {
+            face(3): (Witness("free_face", face=face(1)),)
+        }
+
+    def test_witness_search_without_free_face_raises(self):
+        triangle = [face(1, 2), face(2, 3), face(1, 3)]
+        with pytest.raises(RuntimeError, match="no free face"):
+            locus_module._smallest_free_face(triangle, frozenset())
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_boundary_of_simplex(self, method):
+        # 26 facets, 2^26 - 1 intersections of facets; no free ridge
+        n = 26
+        delta = SimplicialComplex(n, [set(range(n)) - {v} for v in range(n)])
+        start = time.perf_counter()
+        result = non_fg_locus(delta, context=context(n), method=method)
+        assert result.empty
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_simplex_plus_two_points(self, method):
+        # link(cl {}) is the whole complex, with 2^18 faces
+        n = 20
+        ctx = context(n)
+        delta = SimplicialComplex(n, [range(18), {18}, {19}])
+        start = time.perf_counter()
+        result = non_fg_locus(delta, context=ctx, method=method)
+        elapsed = time.perf_counter() - start
+        assert result.maximal_faces == (frozenset(),)
+        assert result.defining_ideal == ctx.ideal(ctx.variable(i) for i in range(n))
+        if method == "combinatorial":
+            assert result.witnesses[frozenset()] == (Witness("free_face", face=face(1)),)
+            assert elapsed < 1.0
+
+
 def _random_corpus(count: int = 300, seed: int = 6309):
     rng = random.Random(seed)
     out = []

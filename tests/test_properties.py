@@ -1,5 +1,7 @@
 """Property suites tying the modules together on randomized inputs."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +16,7 @@ from froblocus import (
     non_fg_locus,
 )
 from froblocus.criterion import degree_generation_ideal, frobenius_colon
-from helpers import context
+from helpers import context, random_complex
 
 
 @st.composite
@@ -172,3 +174,21 @@ def test_vertex_permutation_equivariance(case):
     assert {g.exponents for g in after.defining_ideal.generators} == {
         relabel(g.exponents) for g in before.defining_ideal.generators
     }
+
+
+def test_cone_over_complex_cones_its_locus():
+    """The locus of the cone over a complex is the cone over its locus.
+
+    The cone's facets are h + a for the facets h and the apex a, so their
+    meets are (h & g) + a, the apex is never in (h + a) - (g + a), and
+    (h + a) - v lies in g + a exactly when h - v lies in g.  By the
+    free-ridge formula the maximal locus faces of the cone are those of the
+    complex with a added.  Checked where no brute force can go.
+    """
+    rng = random.Random(4406)
+    for _ in range(300):
+        n = rng.randint(20, 29)
+        delta = random_complex(rng, n)
+        cone = SimplicialComplex(n + 1, [h | {n} for h in delta.facets])
+        expected = {f | {n} for f in locus_combinatorial(delta).maximal_faces}
+        assert set(locus_combinatorial(cone).maximal_faces) == expected, delta

@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from froblocus import RingContext, SimplicialComplex, face_monomial, face_prime
-from helpers import context, face, ideal_of, sq
+from helpers import context, core, face, ideal_of, sq
 
 
 @pytest.fixture
@@ -188,24 +188,26 @@ class TestFreeFaces:
 
 
 class TestCore:
+    """The reference's ``core``, used by the brute-force locus."""
+
     def test_cone_is_stripped(self, paths):
         # 1-3, 2-3 path is a cone with apex 3
         delta = SimplicialComplex(3, [face(1, 3), face(2, 3)])
-        core = delta.core()
-        assert core.facets == (face(1), face(2))
-        assert core.free_faces() == ()
+        stripped = core(delta)
+        assert stripped.facets == (face(1), face(2))
+        assert stripped.free_faces() == ()
 
     def test_core_of_simplex_is_irrelevant(self):
         delta = SimplicialComplex(2, [face(1, 2)])
-        assert delta.core().is_irrelevant
+        assert core(delta).is_irrelevant
 
     def test_path_cones_over_middle_vertex(self, paths):
         # 1-2, 2-3 shares vertex 2 between both facets
-        assert paths.core().facets == (face(1), face(3))
+        assert core(paths).facets == (face(1), face(3))
 
     def test_no_cone_points_is_identity(self):
         delta = SimplicialComplex(3, [face(2), face(1, 3)])
-        assert delta.core() == delta
+        assert core(delta) == delta
 
 
 class TestFacePrimitives:
