@@ -40,6 +40,23 @@ e - 1 products instead of one per composition (2^(e-1) - 1 of them).
 ``degreewise_report`` computes each ``C_a`` once for all degrees and starts
 each degree's sum from ``I^{[p^e]}``, so products that the Frobenius power
 already covers are dropped before they are minimalised.
+
+Every ``C_e`` comes from one antichain of level pairs, whatever p and e.
+Let ``M_1, ..., M_s`` be the generator supports of ``I`` and ``q >= 2``.
+A monomial ``w`` lies in ``(I^{[q]} : m_j)`` exactly when some generator
+support G has ``w_i >= q - [i in M_j]`` for all i in G, and so in
+``(I^{[q]} : I)`` exactly when this holds for every j.  The condition reads
+``w`` only through the level sets ``A = {i : w_i >= q - 1}`` and
+``B = {i : w_i >= q}``: it asks for ``G ∩ M_j ⊆ A`` and ``G - M_j ⊆ B``.
+So the colon is generated by the monomials with exponent q - 1 on ``A - B``
+and q on B, over the minimal pairs (A, B) that pass; these pairs do not
+depend on q.  They are found as the colon would be: ``(I^{[q]} : m_j)`` is
+generated by the pairs ``(G, G - M_j)``, an lcm is ``(A ∪ A', B ∪ B')``, and
+one monomial divides another when ``A ⊆ A'`` and ``B ⊆ B'``.  The map from
+levels ``0 < 1 < 2`` to exponents ``0 < q - 1 < q`` is strictly increasing,
+so it keeps divisibility, minimality and descending lexicographic order,
+and the minimal pairs map to the canonical generators of ``C_e`` for
+``q = p^e``.
 """
 
 from __future__ import annotations
@@ -47,6 +64,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .monomials import (
+    EXPONENT_LIMIT,
+    ExponentLimitError,
     Monomial,
     MonomialIdeal,
     _colon_ideal_raw,
@@ -135,16 +154,67 @@ def _require_oracle_input(ideal: MonomialIdeal) -> None:
         raise ValueError("oracle ideals must be nonzero")
     if ideal.is_unit:
         raise ValueError("oracle ideals must be proper")
+    if not ideal.is_squarefree:
+        raise ValueError("oracle requires a squarefree ideal")
+
+
+def _minimal_pairs(pairs) -> list[tuple[int, int]]:
+    """The minimal bitmask pairs, (A, B) dividing (A', B') when A ⊆ A', B ⊆ B'."""
+    kept: list[tuple[int, int]] = []
+    for a, b in sorted(set(pairs), key=lambda ab: ab[0].bit_count() + ab[1].bit_count()):
+        for ka, kb in kept:
+            if ka & a == ka and kb & b == kb:
+                break
+        else:
+            kept.append((a, b))
+    return kept
+
+
+def _colon_levels(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+    """Level vectors of the minimal generators of every (I^[q] : I), q >= 2.
+
+    Level 1 stands for the exponent q - 1 and level 2 for q (see the module
+    docstring); the vectors come in descending lexicographic order.
+    """
+    supports = [sum(1 << i for i, x in enumerate(v) if x) for v in ideal._vecs]
+    pairs = [(0, 0)]
+    for m in supports:
+        colon_m = _minimal_pairs((g, g & ~m) for g in supports)
+        pairs = _minimal_pairs((a | g, b | h) for a, b in pairs for g, h in colon_m)
+    n = ideal.context.n
+    return tuple(sorted(
+        (tuple((a >> i & 1) + (b >> i & 1) for i in range(n)) for a, b in pairs),
+        reverse=True,
+    ))
+
+
+def _frobenius_colons(
+    ideal: MonomialIdeal, p: int, degrees: range
+) -> dict[int, MonomialIdeal]:
+    """C_e = (I^[p^e] : I) for each e in degrees, from one level antichain."""
+    _require_oracle_input(ideal)
+    if p < 2:
+        raise ValueError("characteristic must be at least 2")
+    if degrees.start < 1:
+        raise ValueError("Frobenius degree must be at least 1")
+    if degrees and p ** degrees[-1] > EXPONENT_LIMIT:
+        raise ExponentLimitError(
+            f"bracket power {p ** degrees[-1]} overflows exponent limit"
+        )
+    levels = _colon_levels(ideal)
+    colons = {}
+    for e in degrees:
+        # 0 < q - 1 < q keeps divisibility and order: the result is canonical
+        step = (0, p**e - 1, p**e)
+        colons[e] = MonomialIdeal._from_vecs(
+            ideal.context, tuple(tuple(step[x] for x in v) for v in levels)
+        )
+    return colons
 
 
 def frobenius_colon(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
     """(I^[p^e] : I), the degree-e piece of the algebra before quotienting."""
-    _require_oracle_input(ideal)
-    if p < 2:
-        raise ValueError("characteristic must be at least 2")
-    if e < 1:
-        raise ValueError("Frobenius degree must be at least 1")
-    return ideal.bracket(p**e).colon(ideal)
+    return _frobenius_colons(ideal, p, range(e, e + 1))[e]
 
 
 def _two_part_sum(
@@ -178,7 +248,7 @@ def degree_generation_ideal(ideal: MonomialIdeal, p: int, e: int) -> MonomialIde
     _require_oracle_input(ideal)
     if e < 2:
         raise ValueError("generation ideals start at degree 2")
-    colons = {a: frobenius_colon(ideal, p, a) for a in range(1, e)}
+    colons = _frobenius_colons(ideal, p, range(1, e))
     return MonomialIdeal._from_vecs(ideal.context, _two_part_sum(colons, p, e, ()))
 
 
@@ -191,7 +261,7 @@ def _degree_verdicts(
         return ()
     if degrees.start < 2:
         raise ValueError("generation ideals start at degree 2")
-    colons = {a: frobenius_colon(ideal, p, a) for a in range(1, degrees.stop)}
+    colons = _frobenius_colons(ideal, p, range(1, degrees.stop))
     return tuple(
         (e, colons[e]._vecs == _two_part_sum(colons, p, e, ideal.bracket(p**e)._vecs))
         for e in degrees

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from froblocus import (
+    ExponentLimitError,
     OracleParams,
     criterion_witness,
     degree_generation_ideal,
@@ -14,8 +15,10 @@ from froblocus import (
     is_finitely_generated,
     new_generators_vanish,
 )
+from froblocus.criterion import _criterion_sides
 from helpers import (
     _compositions,
+    all_antichains,
     composition_generation_ideal,
     context,
     exhaustive_complexes,
@@ -105,6 +108,52 @@ class TestFrobeniusColon:
             frobenius_colon(ctx3.zero_ideal(), 2, 1)
         with pytest.raises(ValueError):
             frobenius_colon(ctx3.unit_ideal(), 2, 1)
+
+
+class TestLevelKernel:
+    """frobenius_colon against the exponent-tuple colon I^[q].colon(I)."""
+
+    @staticmethod
+    def _check(ideal, degrees):
+        for p, e in degrees:
+            assert frobenius_colon(ideal, p, e) == ideal.bracket(p**e).colon(ideal), (ideal, p, e)
+        # the criterion's colon is the same ideal at q = 2
+        assert frobenius_colon(ideal, 2, 1)._vecs == _criterion_sides(ideal)[0], ideal
+
+    def test_every_ideal_on_four_variables(self):
+        degrees = [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]
+        checked = 0
+        for n in range(1, 5):
+            ctx = context(n)
+            for supports in all_antichains(n):
+                if supports == [frozenset()]:
+                    continue
+                self._check(ctx.ideal([ctx.squarefree(s) for s in supports]), degrees)
+                checked += 1
+        # Dedekind numbers 3, 6, 20, 168 less the zero and unit ideals
+        assert checked == 1 + 4 + 18 + 166
+
+    def test_random_ideals(self):
+        rng = random.Random(1307)
+        for _ in range(200):
+            ideal = random_squarefree_ideal(rng, context(rng.randint(6, 8)))
+            self._check(ideal, [(2, 1), (3, 2)])
+
+    def test_non_squarefree_rejected(self, ctx3):
+        ideal = ctx3.ideal([mono(ctx3, 2, 1, 0), mono(ctx3, 0, 1, 1)])
+        with pytest.raises(ValueError, match="squarefree"):
+            frobenius_colon(ideal, 2, 1)
+        with pytest.raises(ValueError, match="squarefree"):
+            degree_generation_ideal(ideal, 2, 2)
+        with pytest.raises(ValueError, match="squarefree"):
+            degreewise_report(ideal)
+
+    def test_exponent_limit(self, path_ideal):
+        # 2^16 is the largest exponent a monomial may carry
+        colon = frobenius_colon(path_ideal, 2, 16)
+        assert max(max(g.exponents) for g in colon) == 2**16
+        with pytest.raises(ExponentLimitError):
+            frobenius_colon(path_ideal, 2, 17)
 
 
 class TestGenerationIdeal:
