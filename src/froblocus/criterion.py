@@ -71,6 +71,7 @@ from .monomials import (
     _colon_ideal_raw,
     _minimalize,
     _vec_divides,
+    minimal_masks,
 )
 
 SUPPORTED_CHARACTERISTICS = (2, 3, 5)
@@ -158,32 +159,21 @@ def _require_oracle_input(ideal: MonomialIdeal) -> None:
         raise ValueError("oracle requires a squarefree ideal")
 
 
-def _minimal_pairs(pairs) -> list[tuple[int, int]]:
-    """The minimal bitmask pairs, (A, B) dividing (A', B') when A ⊆ A', B ⊆ B'."""
-    kept: list[tuple[int, int]] = []
-    for a, b in sorted(set(pairs), key=lambda ab: ab[0].bit_count() + ab[1].bit_count()):
-        for ka, kb in kept:
-            if ka & a == ka and kb & b == kb:
-                break
-        else:
-            kept.append((a, b))
-    return kept
-
-
 def _colon_levels(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Level vectors of the minimal generators of every (I^[q] : I), q >= 2.
 
     Level 1 stands for the exponent q - 1 and level 2 for q (see the module
-    docstring); the vectors come in descending lexicographic order.
+    docstring); the vectors come in descending lexicographic order.  A level
+    pair (A, B) is packed as ``A | B << n``: divisibility is mask inclusion.
     """
-    supports = [sum(1 << i for i, x in enumerate(v) if x) for v in ideal._vecs]
-    pairs = [(0, 0)]
-    for m in supports:
-        colon_m = _minimal_pairs((g, g & ~m) for g in supports)
-        pairs = _minimal_pairs((a | g, b | h) for a, b in pairs for g, h in colon_m)
     n = ideal.context.n
+    supports = [sum(1 << i for i, x in enumerate(v) if x) for v in ideal._vecs]
+    pairs = [0]
+    for m in supports:
+        colon_m = minimal_masks(g | (g & ~m) << n for g in supports)
+        pairs = minimal_masks(a | g for a in pairs for g in colon_m)
     return tuple(sorted(
-        (tuple((a >> i & 1) + (b >> i & 1) for i in range(n)) for a, b in pairs),
+        (tuple((w >> i & 1) + (w >> n + i & 1) for i in range(n)) for w in pairs),
         reverse=True,
     ))
 

@@ -28,15 +28,16 @@ from functools import cached_property
 from itertools import combinations
 
 from .criterion import _criterion
-from .monomials import Monomial, MonomialIdeal, RingContext
+from .monomials import Monomial, MonomialIdeal, RingContext, minimal_transversals
 from .parsing import ProblemInput
 from .simplicial import (
     Face,
     SimplicialComplex,
     face_key,
+    face_mask,
     face_monomial,
-    face_prime,
     format_face,
+    nonface_ideal,
 )
 
 METHODS = ("algebraic", "combinatorial", "both")
@@ -93,10 +94,7 @@ class LocusResult:
 
     @cached_property
     def defining_ideal(self) -> MonomialIdeal:
-        defining = self.context.unit_ideal()
-        for f in self.maximal_faces:
-            defining = defining.intersection(face_prime(f, self.context))
-        return defining
+        return nonface_ideal(self.context, self.maximal, range(self.context.n))
 
     @cached_property
     def witnesses(self) -> dict[Face, tuple[Witness, ...]]:
@@ -132,22 +130,18 @@ def _smallest_free_face(holders: list[Face], closure: Face) -> Face:
     """The smallest free face of link(cl F) by ``face_key``, for S(F) and cl F.
 
     f inside h - cl F lies in no other link facet exactly when it meets each
-    gap h - g (g in S(F), g != h); a smallest such f is a minimal hitting set
-    of the gaps, so it has fewer than |S(F)| vertices, all in the gaps, and
-    is free unless it is all of h - cl F.
+    gap h - g (g in S(F), g != h), and is free unless it is all of h - cl F;
+    so a smallest free face is a minimal transversal of some h's gaps.
     """
-    stars = [(h, [h - g for g in holders if g != h]) for h in holders]
-    for size in range(1, len(holders)):
-        found = [
-            c
-            for h, gaps in stars
-            if size < len(h - closure)
-            for c in combinations(sorted(frozenset().union(*gaps)), size)
-            if all(not gap.isdisjoint(c) for gap in gaps)
-        ]
-        if found:
-            return frozenset(min(found))
-    raise RuntimeError(f"no free face in the link of {format_face(closure)}")
+    free = [
+        frozenset(v for v in h if t >> v & 1)
+        for h in holders
+        for t in minimal_transversals(face_mask(h - g) for g in holders if g != h)
+        if t.bit_count() < len(h - closure)
+    ]
+    if not free:
+        raise RuntimeError(f"no free face in the link of {format_face(closure)}")
+    return min(free, key=face_key)
 
 
 def locus_algebraic(

@@ -146,6 +146,29 @@ def _colon_ideal_raw(
     return acc
 
 
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal int bitmasks of a family, by popcount, then value."""
+    kept: list[int] = []
+    for m in sorted(sorted(set(masks)), key=int.bit_count):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def minimal_transversals(edges: Iterable[int]) -> list[int]:
+    """Minimal transversals of bitmask edges by Berge's sequential method: for
+    each edge, extend every transversal missing it by each vertex of the edge,
+    and minimalise.  No edges give ``[0]``, an empty edge gives ``[]``."""
+    found = [0]
+    for edge in edges:
+        bits = [1 << i for i in range(edge.bit_length()) if edge >> i & 1]
+        found = minimal_masks(t if t & edge else t | b for t in found for b in bits)
+    return found
+
+
 class Monomial:
     """A monomial given by its exponent vector over a fixed ring context."""
 

@@ -45,7 +45,7 @@ def parse_monomial(text: str, context: RingContext) -> Monomial:
         name = name.strip()
         if caret:
             power = power.strip()
-            if not power.isdigit():
+            if not (power.isascii() and power.isdigit()):
                 raise ParseError(f"bad exponent in {token!r}")
             k = int(power)
             if k > EXPONENT_LIMIT:
@@ -66,7 +66,7 @@ def parse_face(text: str, n: int) -> Face:
     """Whitespace-separated 1-based vertex indices; empty text is the empty face."""
     verts = set()
     for token in text.replace(",", " ").split():
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise ParseError(f"bad vertex index {token!r}")
         v = int(token)
         if not 1 <= v <= n:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .monomials import Monomial, MonomialIdeal, RingContext
+from .monomials import Monomial, MonomialIdeal, RingContext, minimal_transversals
 
 Face = frozenset[int]
 
@@ -40,8 +40,7 @@ def face_prime(face: Face, context: RingContext) -> MonomialIdeal:
     for v in face:
         if not 0 <= v < context.n:
             raise ValueError(f"vertex {v} out of range 0..{context.n - 1}")
-    gens = [context.variable(i) for i in range(context.n) if i not in face]
-    return context.ideal(gens)
+    return nonface_ideal(context, [face], range(context.n))
 
 
 class SimplicialComplex:
@@ -126,36 +125,30 @@ class SimplicialComplex:
     def to_ideal(self, context: RingContext) -> MonomialIdeal:
         """The squarefree ideal of the non-faces (within the active universe).
 
-        Equals the intersection of the facet primes; the void complex maps
-        to the unit ideal, the irrelevant complex to the ideal of all active
-        variables.
+        Its generators are the minimal transversals of the facet complements;
+        the void complex maps to the unit ideal, the irrelevant complex to the
+        ideal of all active variables.
         """
         if context.n != self.n:
             raise ValueError(
                 f"context has {context.n} variables, complex expects {self.n}"
             )
-        result = context.unit_ideal()
-        for facet in self.facets:
-            gens = [context.variable(i) for i in sorted(self.vertices - facet)]
-            result = result.intersection(context.ideal(gens))
-        return result
+        return nonface_ideal(context, self.facets, self.vertices)
 
     @classmethod
     def from_ideal(cls, ideal: MonomialIdeal) -> SimplicialComplex:
         """The complex of a proper squarefree ideal, on the full universe.
 
-        Facets are complements of the minimal primes' variable sets; the
-        zero ideal gives the full simplex.
+        Facets are the complements of the minimal transversals of the
+        generator supports; the zero ideal gives the full simplex.
         """
         if ideal.is_unit:
             raise ValueError("the unit ideal has no complex")
         if not ideal.is_squarefree:
             raise ValueError("ideal must be squarefree")
         n = ideal.context.n
-        supports = [g.support for g in ideal.generators]
-        covers = _minimal_transversals(supports)
-        everything = frozenset(range(n))
-        return cls(n, [everything - c for c in covers])
+        covers = minimal_transversals(face_mask(g.support) for g in ideal.generators)
+        return cls(n, [[i for i in range(n) if not c >> i & 1] for c in covers])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -174,19 +167,19 @@ class SimplicialComplex:
         return f"SimplicialComplex(n={self.n}; {body})"
 
 
-def _minimal_transversals(supports: list[frozenset[int]]) -> list[frozenset[int]]:
-    """Minimal hitting sets of a family of vertex sets, by splitting on the
-    vertices of the first set not yet hit (an explicit stack: a nested
-    function that calls itself is a reference cycle, freed only by the
-    cyclic collector)."""
-    found: list[frozenset[int]] = []
-    stack = [(list(supports), frozenset())]
-    while stack:
-        remaining, chosen = stack.pop()
-        if not remaining:
-            found.append(chosen)
-            continue
-        for v in sorted(remaining[0]):
-            stack.append(([s for s in remaining[1:] if v not in s], chosen | {v}))
-    minimal = [c for c in set(found) if not any(d < c for d in found)]
-    return sorted(minimal, key=face_key)
+def nonface_ideal(
+    context: RingContext, facets: Iterable[Face], vertices: Iterable[int]
+) -> MonomialIdeal:
+    """The squarefree ideal of the non-faces of the complex with these facets
+    inside the vertex universe, generated by the minimal transversals of the
+    facet complements (Alexander duality); no facets give the unit ideal."""
+    universe = face_mask(vertices)
+    nonfaces = minimal_transversals(universe & ~face_mask(h) for h in facets)
+    return context.ideal(
+        context.monomial(t >> i & 1 for i in range(context.n)) for t in nonfaces
+    )
+
+
+def face_mask(vertices: Iterable[int]) -> int:
+    """The int bitmask of a vertex set, bit v for vertex v."""
+    return sum(1 << v for v in vertices)

@@ -90,6 +90,19 @@ def random_squarefree_ideal(
     return ctx.ideal(gens)
 
 
+def brute_force_transversals(edges: list[int], n: int) -> list[int]:
+    """Every subset of range(n) that meets every edge, keeping the minimal
+    ones, sorted by size and then by value: the reference for
+    ``minimal_transversals``.  Hitting every edge is closed under supersets,
+    so a hitting set is minimal when dropping any one vertex loses it."""
+    hitting = {s for s in range(1 << n) if all(s & e for e in edges)}
+    minimal = [
+        s for s in hitting
+        if not any(s >> i & 1 and s & ~(1 << i) in hitting for i in range(n))
+    ]
+    return sorted(minimal, key=lambda s: (s.bit_count(), s))
+
+
 def _compositions(total: int) -> list[tuple[int, ...]]:
     """Ordered ways to write total as a sum of >= 2 positive parts."""
     def parts(t: int) -> list[tuple[int, ...]]:

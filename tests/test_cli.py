@@ -40,7 +40,7 @@ class TestMonomialGrammar:
         assert parse_monomial("x*x", ctx6).exponents == (2, 0, 0, 0, 0, 0)
 
     def test_errors(self, ctx6):
-        for bad in ("q", "x**y", "x^", "x^-1", "", "x^99999999"):
+        for bad in ("q", "x**y", "x^", "x^-1", "", "x^99999999", "x^²"):
             with pytest.raises(ParseError):
                 parse_monomial(bad, ctx6)
 
@@ -61,6 +61,8 @@ class TestFaceGrammar:
             parse_face("6", 5)
         with pytest.raises(ParseError):
             parse_face("x", 5)
+        with pytest.raises(ParseError, match="bad vertex index"):
+            parse_face("²", 3)
 
 
 class TestProblemFiles:
@@ -257,6 +259,22 @@ class TestCliErrors:
         bad = tmp_path / "unit.txt"
         bad.write_text("vars: x, y\nideal: 1\n")
         assert main(["locus", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "text, face, message",
+        [
+            ("vars: x, y\nideal: x^²*y\n", None, "error: bad exponent in 'x^²'"),
+            ("vars: x, y, z\nfacets: 1 ²\n", None, "error: bad vertex index '²'"),
+            ("vars: x, y, z\nfacets: 1 2\n", "¹", "error: bad vertex index '¹'"),
+        ],
+        ids=["ideal-exponent", "facet-vertex", "check-face"],
+    )
+    def test_non_ascii_digits(self, capsys, tmp_path, text, face, message):
+        bad = tmp_path / "digits.txt"
+        bad.write_text(text, encoding="utf-8")
+        args = ["locus", str(bad)] if face is None else ["check", str(bad), "--face", face]
+        assert main(args) == 1
+        assert capsys.readouterr().err == message + "\n"
 
     def test_bad_flag(self, capsys):
         assert main(["locus", "--method", "psychic"]) == 1

@@ -287,6 +287,23 @@ class TestManyFacets:
         assert result.empty
         assert time.perf_counter() - start < 1.0
 
+    def test_two_disjoint_simplices_as_an_ideal(self):
+        # 144 generators x_i * y_j, whose supports have only two minimal
+        # transversals among thousands of hitting sets
+        n = 24
+        ctx = context(n)
+        left, right = frozenset(range(12)), frozenset(range(12, n))
+        ideal = ctx.ideal(ctx.squarefree((i, j)) for i in left for j in right)
+        start = time.perf_counter()
+        delta = SimplicialComplex.from_ideal(ideal)
+        assert delta.facets == (left, right)
+        assert delta.to_ideal(ctx) == ideal
+        result = non_fg_locus(ideal, method="combinatorial")
+        assert result.maximal == {
+            frozenset(): (Witness("free_face", face=frozenset({0})),)
+        }
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("method", METHODS)
     def test_simplex_plus_two_points(self, method):
         # link(cl {}) is the whole complex, with 2^18 faces

@@ -1,12 +1,13 @@
 """Monomial and monomial-ideal arithmetic, including hand-checked oracles."""
 
 import itertools
+import random
 
 import pytest
 
 from froblocus import ContextMismatchError, ExponentLimitError, RingContext
-from froblocus.monomials import _colon_ideal_raw
-from helpers import context, ideal_of, mono, sq
+from froblocus.monomials import _colon_ideal_raw, minimal_masks, minimal_transversals
+from helpers import brute_force_transversals, context, ideal_of, mono, sq
 
 
 @pytest.fixture
@@ -337,3 +338,33 @@ class TestStructure:
             )
             both_ways = left.issubset(right) and right.issubset(left)
             assert (left == right) == both_ways
+
+
+class TestTransversalKernel:
+    def test_minimal_masks(self):
+        family = [0b110, 0b010, 0b011, 0b010, 0b101, 0b111]
+        assert minimal_masks(family) == [0b010, 0b101]
+        assert minimal_masks([]) == []
+        assert minimal_masks([0, 0b1]) == [0]
+
+    def test_edge_cases(self):
+        assert minimal_transversals([]) == [0]
+        assert minimal_transversals([0]) == []
+        assert minimal_transversals([0b11, 0]) == []
+        # duplicate edges
+        assert minimal_transversals([0b011, 0b011]) == [0b001, 0b010]
+        # nested edges: hitting the smaller one hits the larger
+        assert minimal_transversals([0b111, 0b010]) == [0b010]
+        assert minimal_transversals([0b001, 0b010]) == [0b011]
+
+    def test_against_brute_force(self):
+        rng = random.Random(14)
+        for _ in range(500):
+            n = rng.randint(1, 8)
+            edges = [rng.randrange(1 << n) for _ in range(rng.randint(0, 7))]
+            if edges and rng.random() < 0.3:
+                edges.append(rng.choice(edges))
+            if edges and rng.random() < 0.3:
+                edges.append(rng.choice(edges) | rng.randrange(1 << n))
+            rng.shuffle(edges)
+            assert minimal_transversals(edges) == brute_force_transversals(edges, n)
