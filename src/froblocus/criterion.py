@@ -64,14 +64,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .monomials import (
-    EXPONENT_LIMIT,
-    ExponentLimitError,
     Monomial,
     MonomialIdeal,
     _colon_ideal_raw,
     _minimalize,
     _vec_divides,
     minimal_masks,
+    support_masks,
 )
 
 SUPPORTED_CHARACTERISTICS = (2, 3, 5)
@@ -167,7 +166,7 @@ def _colon_levels(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     pair (A, B) is packed as ``A | B << n``: divisibility is mask inclusion.
     """
     n = ideal.context.n
-    supports = [sum(1 << i for i, x in enumerate(v) if x) for v in ideal._vecs]
+    supports = support_masks(ideal)
     pairs = [0]
     for m in supports:
         colon_m = minimal_masks(g | (g & ~m) << n for g in supports)
@@ -187,10 +186,6 @@ def _frobenius_colons(
         raise ValueError("characteristic must be at least 2")
     if degrees.start < 1:
         raise ValueError("Frobenius degree must be at least 1")
-    if degrees and p ** degrees[-1] > EXPONENT_LIMIT:
-        raise ExponentLimitError(
-            f"bracket power {p ** degrees[-1]} overflows exponent limit"
-        )
     levels = _colon_levels(ideal)
     colons = {}
     for e in degrees:

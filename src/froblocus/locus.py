@@ -126,16 +126,28 @@ def _maximal_locus_faces(
     return accepted
 
 
+def _ridge_vertices(h: Face, holders: list[Face], closure: Face) -> Face:
+    """The v in h - cl F for which h - v is a free ridge, for h in S(F):
+    those that are not the whole gap h - g of any g in S(F)."""
+    return h - closure - {v for g in holders if len(h - g) == 1 for v in h - g}
+
+
 def _smallest_free_face(holders: list[Face], closure: Face) -> Face:
     """The smallest free face of link(cl F) by ``face_key``, for S(F) and cl F.
 
     f inside h - cl F lies in no other link facet exactly when it meets each
     gap h - g (g in S(F), g != h), and is free unless it is all of h - cl F;
     so a smallest free face is a minimal transversal of some h's gaps.
+    Only facets with a free ridge h - v, v outside cl F, give one.  Every
+    gap lies in h - cl F, so a transversal t of h's gaps with fewer vertices
+    than h - cl F misses some v in h - cl F.  Then h - v contains t, so it
+    meets every gap and lies in no other facet of S(F); it contains F, so it
+    lies in no facet outside S(F) either: h - v is a free ridge.
     """
     free = [
         frozenset(v for v in h if t >> v & 1)
         for h in holders
+        if _ridge_vertices(h, holders, closure)
         for t in minimal_transversals(face_mask(h - g) for g in holders if g != h)
         if t.bit_count() < len(h - closure)
     ]
@@ -178,11 +190,9 @@ def locus_combinatorial(
     def test(f: Face) -> Witness | None:
         holders = [h for h in delta.facets if f <= h]
         closure = frozenset.intersection(*holders)
-        for h in holders:
-            single = {v for g in holders if len(h - g) == 1 for v in h - g}
-            if h - closure - single:
-                return Witness("free_face", face=_smallest_free_face(holders, closure))
-        return None
+        if not any(_ridge_vertices(h, holders, closure) for h in holders):
+            return None
+        return Witness("free_face", face=_smallest_free_face(holders, closure))
 
     return LocusResult(problem.context, _maximal_locus_faces(delta, test), "combinatorial")
 

@@ -1,9 +1,16 @@
 """Monomials and monomial ideals with exact, canonical arithmetic.
 
 Every value is immutable and canonical at construction: a ``MonomialIdeal``
-always stores its unique minimal generating set, sorted lexicographically on
-exponent vectors.  Equality is therefore structural and all operations are
-pure functions, safe to share across threads.
+stores its context, its unique minimal generating set as exponent tuples in
+descending lexicographic order, and their hash, and nothing else.  The
+arithmetic works on those tuples; ``generators`` builds ``Monomial`` objects
+from them only when it is read.  Every ideal passes ``_check_exponents``
+once when it is made, so no exponent above ``EXPONENT_LIMIT`` is stored.
+``support_masks`` and ``squarefree_ideal`` convert between squarefree
+ideals and int bitmasks of generator supports (bit i for variable i), the
+form of ``minimal_masks`` and ``minimal_transversals``.  Equality is
+structural and all operations are pure functions, safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -96,6 +103,24 @@ def _require_same_context(a: RingContext, b: RingContext) -> None:
 # Raw helpers operate on bare exponent tuples; they are the hot path for the
 # ideal arithmetic and deliberately avoid creating Monomial objects.
 
+def _check_exponents(vecs: tuple[tuple[int, ...], ...]) -> None:
+    """Raise ExponentLimitError at the first exponent above EXPONENT_LIMIT."""
+    if vecs and max(map(max, vecs)) > EXPONENT_LIMIT:
+        e = next(e for v in vecs for e in v if e > EXPONENT_LIMIT)
+        raise ExponentLimitError(f"exponent {e} exceeds limit {EXPONENT_LIMIT}")
+
+
+def _format(names: tuple[str, ...], exponents: tuple[int, ...]) -> str:
+    """Monomial text such as ``x1^2*x3``; ``1`` when every exponent is 0."""
+    parts = []
+    for name, e in zip(names, exponents):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts) or "1"
+
+
 def _vec_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     for x, y in zip(a, b):
         if x > y:
@@ -169,6 +194,22 @@ def minimal_transversals(edges: Iterable[int]) -> list[int]:
     return found
 
 
+def support_masks(ideal: MonomialIdeal) -> list[int]:
+    """The supports of the minimal generators as int bitmasks, in order."""
+    return [sum(1 << i for i, e in enumerate(v) if e) for v in ideal._vecs]
+
+
+def squarefree_ideal(context: RingContext, masks: Iterable[int]) -> MonomialIdeal:
+    """The squarefree ideal generated by the monomials with these supports;
+    no masks give the zero ideal, ``[0]`` the unit ideal."""
+    n = context.n
+    kept = minimal_masks(masks)
+    if any(m >> n for m in kept):
+        raise ValueError(f"support mask out of range for {n} variables")
+    vecs = sorted((tuple(m >> i & 1 for i in range(n)) for m in kept), reverse=True)
+    return MonomialIdeal._from_vecs(context, tuple(vecs))
+
+
 class Monomial:
     """A monomial given by its exponent vector over a fixed ring context."""
 
@@ -180,13 +221,9 @@ class Monomial:
             raise ValueError(
                 f"expected {context.n} exponents, got {len(exps)}"
             )
-        for e in exps:
-            if e < 0:
-                raise ValueError("exponents must be non-negative")
-            if e > EXPONENT_LIMIT:
-                raise ExponentLimitError(
-                    f"exponent {e} exceeds limit {EXPONENT_LIMIT}"
-                )
+        if min(exps) < 0:
+            raise ValueError("exponents must be non-negative")
+        _check_exponents((exps,))
         self.context = context
         self.exponents = exps
         self._hash = hash((context.names, exps))
@@ -235,27 +272,20 @@ class Monomial:
         return self.exponents < other.exponents
 
     def __str__(self) -> str:
-        if self.is_one:
-            return "1"
-        parts = []
-        for name, e in zip(self.context.names, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return _format(self.context.names, self.exponents)
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
 
 
 class MonomialIdeal:
-    """A monomial ideal stored as its canonical minimal generating set.
+    """A monomial ideal stored as its canonical minimal generating set, in
+    exponent tuples; ``generators`` builds the ``Monomial``s on each read.
 
     The zero ideal has no generators; the unit ideal is generated by 1.
     """
 
-    __slots__ = ("context", "generators", "_vecs", "_hash")
+    __slots__ = ("context", "_vecs", "_hash")
 
     def __init__(self, context: RingContext, generators: Iterable[Monomial] = ()):
         vecs = []
@@ -267,9 +297,9 @@ class MonomialIdeal:
         self._finish(context, _minimalize(vecs))
 
     def _finish(self, context: RingContext, vecs: tuple[tuple[int, ...], ...]) -> None:
+        _check_exponents(vecs)
         self.context = context
         self._vecs = vecs
-        self.generators = tuple(Monomial(context, v) for v in vecs)
         self._hash = hash((context.names, vecs))
 
     @classmethod
@@ -280,6 +310,10 @@ class MonomialIdeal:
         obj = object.__new__(cls)
         obj._finish(context, vecs)
         return obj
+
+    @property
+    def generators(self) -> tuple[Monomial, ...]:
+        return tuple(Monomial(self.context, v) for v in self._vecs)
 
     @property
     def is_zero(self) -> bool:
@@ -317,7 +351,7 @@ class MonomialIdeal:
         return iter(self.generators)
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self._vecs)
 
     def __add__(self, other: MonomialIdeal) -> MonomialIdeal:
         _require_same_context(self.context, other.context)
@@ -362,12 +396,6 @@ class MonomialIdeal:
         """The ideal generated by q-th powers of the minimal generators."""
         if q < 1:
             raise ValueError("bracket power requires q >= 1")
-        for v in self._vecs:
-            for e in v:
-                if e * q > EXPONENT_LIMIT:
-                    raise ExponentLimitError(
-                        f"bracket power {q} overflows exponent limit"
-                    )
         vecs = tuple(tuple(q * e for e in v) for v in self._vecs)
         # q-th powers of an antichain of monomials stay an antichain
         return MonomialIdeal._from_vecs(self.context, tuple(sorted(vecs, reverse=True)))
@@ -406,7 +434,8 @@ class MonomialIdeal:
     def __str__(self) -> str:
         if self.is_zero:
             return "(0)"
-        return "(" + ", ".join(str(g) for g in self.generators) + ")"
+        names = self.context.names
+        return "(" + ", ".join(_format(names, v) for v in self._vecs) + ")"
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self}"

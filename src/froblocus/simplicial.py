@@ -15,7 +15,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .monomials import Monomial, MonomialIdeal, RingContext, minimal_transversals
+from .monomials import (
+    Monomial,
+    MonomialIdeal,
+    RingContext,
+    minimal_transversals,
+    squarefree_ideal,
+    support_masks,
+)
 
 Face = frozenset[int]
 
@@ -147,7 +154,7 @@ class SimplicialComplex:
         if not ideal.is_squarefree:
             raise ValueError("ideal must be squarefree")
         n = ideal.context.n
-        covers = minimal_transversals(face_mask(g.support) for g in ideal.generators)
+        covers = minimal_transversals(support_masks(ideal))
         return cls(n, [[i for i in range(n) if not c >> i & 1] for c in covers])
 
     def __eq__(self, other: object) -> bool:
@@ -175,9 +182,7 @@ def nonface_ideal(
     facet complements (Alexander duality); no facets give the unit ideal."""
     universe = face_mask(vertices)
     nonfaces = minimal_transversals(universe & ~face_mask(h) for h in facets)
-    return context.ideal(
-        context.monomial(t >> i & 1 for i in range(context.n)) for t in nonfaces
-    )
+    return squarefree_ideal(context, nonfaces)
 
 
 def face_mask(vertices: Iterable[int]) -> int:

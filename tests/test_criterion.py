@@ -154,6 +154,9 @@ class TestLevelKernel:
         assert max(max(g.exponents) for g in colon) == 2**16
         with pytest.raises(ExponentLimitError):
             frobenius_colon(path_ideal, 2, 17)
+        # C_1 * C_15^[2] reaches exponent 2 + 2^16
+        with pytest.raises(ExponentLimitError):
+            degree_generation_ideal(path_ideal, 2, 16)
 
 
 class TestGenerationIdeal:

@@ -5,8 +5,21 @@ import random
 
 import pytest
 
-from froblocus import ContextMismatchError, ExponentLimitError, RingContext
-from froblocus.monomials import _colon_ideal_raw, minimal_masks, minimal_transversals
+from froblocus import (
+    ContextMismatchError,
+    ExponentLimitError,
+    Monomial,
+    RingContext,
+    SimplicialComplex,
+    frobenius_colon,
+)
+from froblocus.monomials import (
+    _colon_ideal_raw,
+    minimal_masks,
+    minimal_transversals,
+    squarefree_ideal,
+    support_masks,
+)
 from helpers import brute_force_transversals, context, ideal_of, mono, sq
 
 
@@ -57,6 +70,9 @@ class TestMonomial:
             mono(ctx3, 1 << 17, 0, 0)
         with pytest.raises(ExponentLimitError):
             mono(ctx3, 60000, 0, 0) ** 2
+        ideal = ctx3.ideal([mono(ctx3, 40000, 0, 0)])
+        with pytest.raises(ExponentLimitError, match="exponent 80000 exceeds limit"):
+            ideal * ideal
 
     def test_str_and_degree(self, ctx3):
         assert str(ctx3.one()) == "1"
@@ -107,6 +123,46 @@ class TestCanonicalForm:
         b = ctx3.ideal([sq(ctx3, 1)])
         assert a == b
         assert ctx3.ideal([sq(ctx3, 1)]) != ctx3.ideal([sq(ctx3, 2)])
+
+
+class TestStoredForm:
+    """An ideal stores exponent tuples; Monomials are built only on read."""
+
+    def test_operations_build_no_monomials(self, monkeypatch):
+        ctx = context(4)
+        ideal = ideal_of(ctx, (1, 2), (2, 3), (3, 4))
+        other = ideal_of(ctx, (1,), (3, 4))
+        x1 = sq(ctx, 1)
+        delta = SimplicialComplex(4, [[0, 1], [1, 2, 3]])
+        built = []
+        init = Monomial.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Monomial, "__init__", counting_init)
+        results = [
+            ideal.colon(x1),
+            ideal.colon(other),
+            ideal + other,
+            ideal * other,
+            ideal.intersection(other),
+            ideal.bracket(3),
+            ideal.localize({0}),
+            delta.to_ideal(ctx),
+            SimplicialComplex.from_ideal(ideal).to_ideal(ctx),
+            frobenius_colon(ideal, 3, 2),
+        ]
+        assert built == []
+        round_trip = results[-2]
+        assert round_trip == ideal and hash(round_trip) == hash(ideal)
+        assert len(round_trip) == 3
+        assert str(round_trip) == "(x1*x2, x2*x3, x3*x4)"
+        assert built == []
+        rebuilt = ctx.ideal(round_trip.generators)
+        assert len(built) == 3
+        assert rebuilt == round_trip and hash(rebuilt) == hash(round_trip)
 
 
 class TestContains:
@@ -356,6 +412,14 @@ class TestTransversalKernel:
         # nested edges: hitting the smaller one hits the larger
         assert minimal_transversals([0b111, 0b010]) == [0b010]
         assert minimal_transversals([0b001, 0b010]) == [0b011]
+        # the squarefree ideal of a mask family, and back
+        ctx = context(3)
+        assert squarefree_ideal(ctx, []) == ctx.zero_ideal()
+        assert squarefree_ideal(ctx, [0]) == ctx.unit_ideal()
+        assert support_masks(ctx.unit_ideal()) == [0]
+        assert support_masks(ideal_of(ctx, (2, 3), (1, 2))) == [0b011, 0b110]
+        with pytest.raises(ValueError, match="out of range"):
+            squarefree_ideal(ctx, [0b1000])
 
     def test_against_brute_force(self):
         rng = random.Random(14)
@@ -368,3 +432,9 @@ class TestTransversalKernel:
                 edges.append(rng.choice(edges) | rng.randrange(1 << n))
             rng.shuffle(edges)
             assert minimal_transversals(edges) == brute_force_transversals(edges, n)
+            ctx = context(n)
+            ideal = squarefree_ideal(ctx, edges)
+            bits = [[i for i in range(n) if m >> i & 1] for m in edges]
+            assert ideal == ctx.ideal([ctx.squarefree(b) for b in bits])
+            assert sorted(support_masks(ideal)) == sorted(minimal_masks(edges))
+            assert squarefree_ideal(ctx, support_masks(ideal)) == ideal
