@@ -26,23 +26,9 @@ from .locus import (
 )
 from .monomials import Monomial, MonomialIdeal
 from .parsing import ParseError, ProblemInput, parse_face, parse_problem
-from .simplicial import face_monomial, face_prime
+from .simplicial import face_monomial, face_prime, format_face
 
 COMMANDS = ("locus", "check", "link", "oracle", "nci")
-
-
-@dataclass
-class ProblemSpec:
-    """Everything one invocation needs: input, subcommand and options."""
-
-    problem: ProblemInput
-    command: str = "locus"
-    method: str = "both"
-    fmt: str = "text"
-    char: int = 2
-    e_max: int = 3
-    k: int = 1
-    face_text: str = ""
 
 
 @dataclass
@@ -142,18 +128,17 @@ def _witness_text(w: dict[str, Any]) -> str:
     return f"implied by {_face_text(w['face'])}"
 
 
-def _run_locus(spec: ProblemSpec) -> Report:
-    result = non_fg_locus(spec.problem, method=spec.method)
-    data = _locus_payload(spec.problem, result)
+def _run_locus(problem: ProblemInput, ns: argparse.Namespace) -> Report:
+    result = non_fg_locus(problem, method=ns.method)
+    data = _locus_payload(problem, result)
     return Report(data, _render_locus_text(data))
 
 
-def _run_check(spec: ProblemSpec) -> Report:
-    problem = spec.problem
+def _run_check(problem: ProblemInput, ns: argparse.Namespace) -> Report:
     context = problem.context
-    face = parse_face(spec.face_text, context.n)
+    face = parse_face(ns.face, context.n)
     if not problem.is_zero and not problem.complex.is_face(face):
-        raise ParseError(f"{_face_text(_face_json(face))} is not a face")
+        raise ParseError(f"{format_face(face)} is not a face")
     ideal = problem.ideal
     colon = ideal.colon(face_monomial(face, context))
     offender = criterion_witness(colon)
@@ -177,10 +162,10 @@ def _run_check(spec: ProblemSpec) -> Report:
     return Report(data, "\n".join(lines))
 
 
-def _run_link(spec: ProblemSpec) -> Report:
-    context = spec.problem.context
-    face = parse_face(spec.face_text, context.n)
-    link = spec.problem.complex.link(face)
+def _run_link(problem: ProblemInput, ns: argparse.Namespace) -> Report:
+    context = problem.context
+    face = parse_face(ns.face, context.n)
+    link = problem.complex.link(face)
     data = {
         "vars": list(context.names),
         "face": _face_json(face),
@@ -197,14 +182,14 @@ def _run_link(spec: ProblemSpec) -> Report:
     return Report(data, text)
 
 
-def _run_oracle(spec: ProblemSpec) -> Report:
-    ideal = spec.problem.ideal
+def _run_oracle(problem: ProblemInput, ns: argparse.Namespace) -> Report:
+    ideal = problem.ideal
     if ideal.is_zero:
         raise ParseError("oracle needs a nonzero ideal")
-    params = OracleParams(p=spec.char, e_max=spec.e_max, k=spec.k)
+    params = OracleParams(p=ns.char, e_max=ns.emax, k=ns.k)
     table = degreewise_report(ideal, params)
     data = {
-        "vars": list(spec.problem.context.names),
+        "vars": list(problem.context.names),
         "ideal": _ideal_json(ideal),
         "char": params.p,
         "k": params.k,
@@ -226,11 +211,11 @@ def _run_oracle(spec: ProblemSpec) -> Report:
     return Report(data, "\n".join(lines))
 
 
-def _run_nci(spec: ProblemSpec) -> Report:
-    ideal = spec.problem.ideal
+def _run_nci(problem: ProblemInput, ns: argparse.Namespace) -> Report:
+    ideal = problem.ideal
     nci = is_nci(ideal)
     data: dict[str, Any] = {
-        "vars": list(spec.problem.context.names),
+        "vars": list(problem.context.names),
         "ideal": _ideal_json(ideal),
         "is_nci": nci,
     }
@@ -241,7 +226,7 @@ def _run_nci(spec: ProblemSpec) -> Report:
     ]
     if nci:
         result = nci_locus(ideal)
-        data["locus"] = _locus_payload(spec.problem, result)
+        data["locus"] = _locus_payload(problem, result)
         lines.append("J = " + _gen_list_text(data["locus"]["j_ideal"]))
         if result.empty:
             lines.append("locus: empty")
@@ -257,10 +242,6 @@ _RUNNERS = {
     "oracle": _run_oracle,
     "nci": _run_nci,
 }
-
-
-def run(spec: ProblemSpec) -> Report:
-    return _RUNNERS[spec.command](spec)
 
 
 @functools.cache
@@ -319,17 +300,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         problem = parse_problem(_read_input(ns.input))
-        spec = ProblemSpec(
-            problem=problem,
-            command=ns.command,
-            method=getattr(ns, "method", "both"),
-            fmt=ns.format,
-            char=getattr(ns, "char", 2),
-            e_max=getattr(ns, "emax", 3),
-            k=getattr(ns, "k", 1),
-            face_text=getattr(ns, "face", ""),
-        )
-        report = run(spec)
+        report = _RUNNERS[ns.command](problem, ns)
     except MethodDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -338,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        if spec.fmt == "json":
+        if ns.format == "json":
             print(json.dumps(report.data, indent=2, sort_keys=True))
         else:
             print(report.text)

@@ -61,9 +61,12 @@ and the minimal pairs map to the canonical generators of ``C_e`` for
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .monomials import (
+    EXPONENT_LIMIT,
+    ExponentLimitError,
     Monomial,
     MonomialIdeal,
     _colon_ideal_raw,
@@ -91,6 +94,8 @@ class OracleParams:
     k: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("p", "e_max", "k"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.p not in SUPPORTED_CHARACTERISTICS:
             raise ValueError(f"characteristic must be one of {SUPPORTED_CHARACTERISTICS}")
         if not 2 <= self.e_max <= 4:
@@ -182,10 +187,17 @@ def _frobenius_colons(
 ) -> dict[int, MonomialIdeal]:
     """C_e = (I^[p^e] : I) for each e in degrees, from one level antichain."""
     _require_oracle_input(ideal)
+    p = operator.index(p)
     if p < 2:
         raise ValueError("characteristic must be at least 2")
     if degrees.start < 1:
         raise ValueError("Frobenius degree must be at least 1")
+    # C_e is proper, so each generator has an exponent p^e - 1 or p^e; a
+    # degree past the limit's bit length is over it at any p >= 2, and its
+    # p^e is never computed
+    top = degrees[-1]
+    if top > EXPONENT_LIMIT.bit_length() or p**top - 1 > EXPONENT_LIMIT:
+        raise ExponentLimitError(f"exponent p^e - 1 exceeds limit {EXPONENT_LIMIT}")
     levels = _colon_levels(ideal)
     colons = {}
     for e in degrees:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_VARIABLES = 30
 EXPONENT_LIMIT = 1 << 16
@@ -70,11 +70,6 @@ class RingContext:
     def one(self) -> Monomial:
         return Monomial(self, (0,) * self.n)
 
-    def variable(self, i: int) -> Monomial:
-        if not 0 <= i < self.n:
-            raise ValueError(f"variable index {i} out of range")
-        return Monomial(self, tuple(1 if j == i else 0 for j in range(self.n)))
-
     def squarefree(self, support: Iterable[int]) -> Monomial:
         """The squarefree monomial whose support is the given index set."""
         indices = set(support)
@@ -104,10 +99,12 @@ def _require_same_context(a: RingContext, b: RingContext) -> None:
 # ideal arithmetic and deliberately avoid creating Monomial objects.
 
 def _check_exponents(vecs: tuple[tuple[int, ...], ...]) -> None:
-    """Raise ExponentLimitError at the first exponent above EXPONENT_LIMIT."""
+    """Raise ExponentLimitError at the first exponent above EXPONENT_LIMIT,
+    naming one past 64 bits by its bit length: str() refuses huge ints."""
     if vecs and max(map(max, vecs)) > EXPONENT_LIMIT:
         e = next(e for v in vecs for e in v if e > EXPONENT_LIMIT)
-        raise ExponentLimitError(f"exponent {e} exceeds limit {EXPONENT_LIMIT}")
+        shown = e if e.bit_length() <= 64 else f"of {e.bit_length()} bits"
+        raise ExponentLimitError(f"exponent {shown} exceeds limit {EXPONENT_LIMIT}")
 
 
 def _format(names: tuple[str, ...], exponents: tuple[int, ...]) -> str:
@@ -232,33 +229,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.exponents) if e)
-
-    @property
-    def is_one(self) -> bool:
-        return not any(self.exponents)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
-
-    def divides(self, other: Monomial) -> bool:
-        _require_same_context(self.context, other.context)
-        return _vec_divides(self.exponents, other.exponents)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        _require_same_context(self.context, other.context)
-        return Monomial(
-            self.context, (x + y for x, y in zip(self.exponents, other.exponents))
-        )
-
-    def __pow__(self, q: int) -> Monomial:
-        if q < 0:
-            raise ValueError("exponent must be non-negative")
-        return Monomial(self.context, (q * e for e in self.exponents))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Monomial):
             return NotImplemented
@@ -266,10 +236,6 @@ class Monomial:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __lt__(self, other: Monomial) -> bool:
-        _require_same_context(self.context, other.context)
-        return self.exponents < other.exponents
 
     def __str__(self) -> str:
         return _format(self.context.names, self.exponents)
@@ -327,18 +293,6 @@ class MonomialIdeal:
     def is_squarefree(self) -> bool:
         return all(e <= 1 for v in self._vecs for e in v)
 
-    def contains(self, m: Monomial) -> bool:
-        _require_same_context(self.context, m.context)
-        return any(_vec_divides(v, m.exponents) for v in self._vecs)
-
-    __contains__ = contains
-
-    def issubset(self, other: MonomialIdeal) -> bool:
-        _require_same_context(self.context, other.context)
-        return all(any(_vec_divides(u, v) for u in other._vecs) for v in self._vecs)
-
-    __le__ = issubset
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
@@ -346,9 +300,6 @@ class MonomialIdeal:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.generators)
 
     def __len__(self) -> int:
         return len(self._vecs)
@@ -376,8 +327,6 @@ class MonomialIdeal:
             self.context, _intersect_raw(self._vecs, other._vecs)
         )
 
-    __and__ = intersection
-
     def colon(self, other: Monomial | MonomialIdeal) -> MonomialIdeal:
         """(self : other) for a monomial or monomial ideal divisor."""
         if isinstance(other, Monomial):
@@ -394,6 +343,7 @@ class MonomialIdeal:
 
     def bracket(self, q: int) -> MonomialIdeal:
         """The ideal generated by q-th powers of the minimal generators."""
+        q = operator.index(q)
         if q < 1:
             raise ValueError("bracket power requires q >= 1")
         vecs = tuple(tuple(q * e for e in v) for v in self._vecs)

@@ -85,10 +85,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    @property
-    def is_irrelevant(self) -> bool:
-        return self.facets == (frozenset(),)
-
     def is_face(self, face: Iterable[int]) -> bool:
         f = frozenset(face)
         return any(f <= h for h in self.facets)

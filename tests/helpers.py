@@ -130,7 +130,9 @@ def composition_generation_ideal(ideal: MonomialIdeal, p: int, e: int) -> Monomi
     a_1 + ... + a_s = e (s >= 2) of C_{a_1} * C_{a_2}^[p^{a_1}] * ...
     The reference for degree_generation_ideal."""
     return ideal.context.ideal(
-        g for parts in _compositions(e) for g in _composition_product(ideal, p, parts)
+        g
+        for parts in _compositions(e)
+        for g in _composition_product(ideal, p, parts).generators
     )
 
 

@@ -78,7 +78,7 @@ def test_criterion_1_golden_example_one():
     start = time.perf_counter()
     result = non_fg_locus(ideal, method="both")
     elapsed = time.perf_counter() - start
-    expected = ctx.ideal([ctx.variable(i) for i in (0, 1, 3, 4, 5)])
+    expected = ctx.ideal([ctx.squarefree([i]) for i in (0, 1, 3, 4, 5)])
     assert result.defining_ideal == expected
     assert str(result.defining_ideal) == "(x, y, w, a, b)"
     assert elapsed < 1.0
@@ -172,8 +172,9 @@ def test_criterion_6_link_colon_identity(face_colons):
 
 def test_criterion_7_sandwich(face_colons):
     for ctx, _, ideal, f, colon in face_colons:
-        assert ideal.issubset(colon)
-        assert colon.issubset(face_prime(f, ctx))
+        assert ideal + colon == colon
+        prime = face_prime(f, ctx)
+        assert colon + prime == prime
     _report(7, "colon-containment sandwich", f"{len(face_colons)} faces")
 
 
@@ -230,7 +231,7 @@ def test_criterion_9_oracle_agreement(oracle_runs):
 def test_criterion_10_generated_part_contained(oracle_runs):
     runs, _, _ = oracle_runs
     for ideal, p, e, _, _, colon, generated in runs:
-        assert generated.issubset(colon), (
+        assert generated + colon == colon, (
             f"containment failure: ideal {ideal}, p={p}, e={e}"
         )
     _report(10, "generated part contained in the colon", f"{len(runs)} runs")
@@ -255,7 +256,7 @@ def test_criterion_11_nci_locus_shape():
         result = locus_algebraic(ideal)
         if not result.empty:
             expected = ctx.ideal(
-                [ctx.variable(i) for i in sorted(ideal.support())]
+                [ctx.squarefree([i]) for i in sorted(ideal.support())]
             )
             assert result.defining_ideal == expected, f"NCI shape failure at {ideal}"
         shortcut = nci_locus(ideal)

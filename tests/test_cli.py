@@ -13,7 +13,7 @@ from froblocus import (
     parse_monomial,
     parse_problem,
 )
-from froblocus.cli import ProblemSpec, main, run
+from froblocus.cli import main
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,7 +33,7 @@ class TestMonomialGrammar:
         assert parse_monomial("x_1*x_2*x_5", ctx).exponents == (1, 1, 0, 0, 1)
 
     def test_constant(self, ctx6):
-        assert parse_monomial("1", ctx6).is_one
+        assert parse_monomial("1", ctx6) == ctx6.one()
 
     def test_powers(self, ctx6):
         assert parse_monomial("x^2*z", ctx6).exponents == (2, 0, 1, 0, 0, 0)
@@ -203,6 +203,22 @@ class TestCliSubcommands:
             "generated up to degree 1: yes\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, defaults",
+        [
+            ("locus", ["--method", "both", "--format", "text"]),
+            ("oracle", ["--char", "2", "--emax", "3", "--k", "1"]),
+            ("check", ["--face", ""]),
+            ("link", ["--face", ""]),
+        ],
+    )
+    def test_defaults_spelled_out(self, capsys, command, defaults):
+        path = str(DATA / "ex1.txt")
+        bare = main([command, path]), capsys.readouterr().out
+        spelled = main([command, path, *defaults]), capsys.readouterr().out
+        assert bare[0] == 0
+        assert spelled == bare
+
     def test_nci(self, capsys):
         code = main(["nci", str(DATA / "ex3.txt")])
         out = capsys.readouterr().out
@@ -342,7 +358,7 @@ class TestCliErrors:
 
     def test_problem_without_ideal_or_facets(self, ctx6):
         with pytest.raises(ParseError):
-            run(ProblemSpec(problem=ProblemInput(ctx6)))
+            ProblemInput(ctx6)
 
     def test_disagreement_exit_code(self, capsys, monkeypatch, tmp_path):
         from froblocus import LocusResult

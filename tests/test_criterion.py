@@ -1,6 +1,7 @@
 """The degree-two finite-generation test and the degree-wise oracle."""
 
 import random
+import time
 
 import pytest
 
@@ -45,10 +46,11 @@ class TestCriterion:
         assert witness is not None
         # the witness really separates the two sides
         colon = path_ideal.bracket(2).colon(path_ideal)
-        rhs = path_ideal.bracket(2) + path_ideal.context.ideal(
-            [path_ideal.context.monomial(map(max, *(g.exponents for g in path_ideal)))]
-        )
-        assert witness in colon and witness not in rhs
+        ctx = path_ideal.context
+        lcm = ctx.monomial(map(max, *(g.exponents for g in path_ideal.generators)))
+        rhs = path_ideal.bracket(2) + ctx.ideal([lcm])
+        principal = ctx.ideal([witness])
+        assert principal + colon == colon and principal + rhs != rhs
 
     def test_hand_computed_sides(self, ctx3, path_ideal):
         colon = path_ideal.bracket(2).colon(path_ideal)
@@ -151,12 +153,25 @@ class TestLevelKernel:
     def test_exponent_limit(self, path_ideal):
         # 2^16 is the largest exponent a monomial may carry
         colon = frobenius_colon(path_ideal, 2, 16)
-        assert max(max(g.exponents) for g in colon) == 2**16
+        assert max(max(g.exponents) for g in colon.generators) == 2**16
         with pytest.raises(ExponentLimitError):
             frobenius_colon(path_ideal, 2, 17)
         # C_1 * C_15^[2] reaches exponent 2 + 2^16
         with pytest.raises(ExponentLimitError):
             degree_generation_ideal(path_ideal, 2, 16)
+
+    def test_huge_exponents(self, path_ideal):
+        # past 4,300 digits str() refuses an int, so the message must not need it
+        with pytest.raises(ExponentLimitError):
+            path_ideal.bracket(2**20000)
+        with pytest.raises(ExponentLimitError):
+            frobenius_colon(path_ideal, 2, 20000)
+        with pytest.raises(ExponentLimitError):
+            path_ideal.context.monomial((2**20000, 0, 0))
+        start = time.perf_counter()
+        with pytest.raises(ExponentLimitError):
+            frobenius_colon(path_ideal, 3, 10**7)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestGenerationIdeal:
@@ -190,7 +205,7 @@ class TestGenerationIdeal:
         # ideal into the Frobenius power
         for e in (2, 3):
             colon = frobenius_colon(path_ideal, 2, e)
-            assert degree_generation_ideal(path_ideal, 2, e).issubset(colon)
+            assert degree_generation_ideal(path_ideal, 2, e) + colon == colon
 
     def test_complete_intersection_needs_frobenius_power(self):
         # the generated part alone misses the bracket generators; only
@@ -267,6 +282,17 @@ class TestGeneratedUpTo:
         report = degreewise_report(path_ideal, OracleParams(p=2, e_max=3, k=1))
         assert [e for e, _ in report] == [2, 3]
         assert report[0][1] is False
+
+    def test_integer_arguments(self, path_ideal):
+        # refused like a float exponent of a Monomial, not carried into an ideal
+        with pytest.raises(TypeError):
+            path_ideal.bracket(2.0)
+        with pytest.raises(TypeError):
+            frobenius_colon(path_ideal, 2.0, 2)
+        with pytest.raises(TypeError):
+            OracleParams(p=2.0)
+        with pytest.raises(TypeError):
+            OracleParams(e_max=3.0)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

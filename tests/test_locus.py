@@ -44,7 +44,7 @@ class TestGoldenExamples:
         ctx, delta, ideal = example_one
         result = non_fg_locus(ideal, method="both")
         assert result.defining_ideal == ctx.ideal(
-            [ctx.variable(i) for i in (0, 1, 3, 4, 5)]
+            [ctx.squarefree([i]) for i in (0, 1, 3, 4, 5)]
         )
         assert result.faces == (frozenset(), face(3))
         assert result.maximal_faces == (face(3),)
@@ -314,7 +314,7 @@ class TestManyFacets:
         result = non_fg_locus(delta, context=ctx, method=method)
         elapsed = time.perf_counter() - start
         assert result.maximal_faces == (frozenset(),)
-        assert result.defining_ideal == ctx.ideal(ctx.variable(i) for i in range(n))
+        assert result.defining_ideal == ctx.ideal(ctx.squarefree([i]) for i in range(n))
         if method == "combinatorial":
             assert result.witnesses[frozenset()] == (Witness("free_face", face=face(1)),)
             assert elapsed < 1.0

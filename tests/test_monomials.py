@@ -55,21 +55,14 @@ class TestRingContext:
 
 
 class TestMonomial:
-    def test_divides(self, ctx3):
-        assert sq(ctx3, 1).divides(sq(ctx3, 1, 2))
-        assert ctx3.one().divides(mono(ctx3, 5, 0, 2))
-        assert not mono(ctx3, 2, 0, 0).divides(sq(ctx3, 1, 2))
-
     def test_context_mismatch(self, ctx3):
         other = RingContext(("u", "v", "w"))
         with pytest.raises(ContextMismatchError):
-            sq(ctx3, 1).divides(other.variable(0))
+            ideal_of(ctx3, (1,)).colon(other.squarefree([0]))
 
     def test_exponent_limit(self, ctx3):
         with pytest.raises(ExponentLimitError):
             mono(ctx3, 1 << 17, 0, 0)
-        with pytest.raises(ExponentLimitError):
-            mono(ctx3, 60000, 0, 0) ** 2
         ideal = ctx3.ideal([mono(ctx3, 40000, 0, 0)])
         with pytest.raises(ExponentLimitError, match="exponent 80000 exceeds limit"):
             ideal * ideal
@@ -78,9 +71,6 @@ class TestMonomial:
         assert str(ctx3.one()) == "1"
         assert str(mono(ctx3, 2, 0, 1)) == "x1^2*x3"
         assert mono(ctx3, 2, 0, 1).degree == 3
-        assert mono(ctx3, 2, 0, 1).support == {0, 2}
-        assert sq(ctx3, 1, 3).is_squarefree
-        assert not mono(ctx3, 2, 0, 0).is_squarefree
 
     def test_exponents_must_be_integers(self, ctx3):
         with pytest.raises(TypeError):
@@ -165,21 +155,6 @@ class TestStoredForm:
         assert rebuilt == round_trip and hash(rebuilt) == hash(round_trip)
 
 
-class TestContains:
-    def test_divisor_membership(self, ctx3):
-        ideal = ideal_of(ctx3, (1, 2))
-        assert sq(ctx3, 1, 2, 3) in ideal
-        assert sq(ctx3, 1) not in ideal
-
-    def test_zero_ideal_contains_nothing(self, ctx3):
-        assert sq(ctx3, 1) not in ctx3.zero_ideal()
-
-    def test_derived_example(self, ctx5):
-        # no generator of (x2x3, x3x4, x4x5) divides x2x4
-        ideal = ideal_of(ctx5, (2, 3), (3, 4), (4, 5))
-        assert sq(ctx5, 2, 4) not in ideal
-
-
 class TestSumProductIntersection:
     def test_intersection_of_variable_primes(self, ctx5):
         left = ctx5.ideal([sq(ctx5, 1), sq(ctx5, 3), sq(ctx5, 4)])
@@ -205,16 +180,18 @@ class TestSumProductIntersection:
         for exps in itertools.product(range(7), repeat=5):
             if sum(exps) > 6:
                 continue
-            m = ctx.monomial(exps)
-            in_i, in_j = m in I, m in J
-            assert (m in inter) == (
+            m = ctx.ideal([ctx.monomial(exps)])
+            in_i, in_j = m + I == I, m + J == J
+            assert (m + inter == inter) == (
                 in_i and in_j
             ), f"intersection wrong at {m}"
-            assert (m in total) == (in_i or in_j), f"sum wrong at {m}"
+            assert (m + total == total) == (in_i or in_j), f"sum wrong at {m}"
             in_prod_direct = any(
-                (a * b).divides(m) for a in I.generators for b in J.generators
+                all(x + y <= z for x, y, z in zip(a.exponents, b.exponents, exps))
+                for a in I.generators
+                for b in J.generators
             )
-            assert (m in prod) == in_prod_direct, f"product wrong at {m}"
+            assert (m + prod == prod) == in_prod_direct, f"product wrong at {m}"
 
 
 class TestColon:
@@ -240,7 +217,7 @@ class TestColon:
                 ctx.squarefree((5,)),  # b
             ]
         )
-        assert ideal.colon(ctx.variable(2)) == expected
+        assert ideal.colon(ctx.squarefree([2])) == expected
 
     def test_colon_monomial_trivial(self, ctx3):
         ideal = ideal_of(ctx3, (1, 2), (2, 3))
@@ -298,7 +275,10 @@ class TestBracketPower:
             ideal = ctx5.ideal(gens)
             padded = list(gens)
             for g in gens:
-                padded.append(g * ctx5.variable(rng.randrange(5)))
+                r = rng.randrange(5)
+                padded.append(
+                    ctx5.monomial(e + (i == r) for i, e in enumerate(g.exponents))
+                )
             padded_ideal = ctx5.ideal(padded)
             assert padded_ideal == ideal
             for q in (2, 3, 4, 8):
@@ -348,23 +328,16 @@ class TestStructure:
         assert ctx5.zero_ideal().support() == frozenset()
         assert ideal_of(ctx5, (2, 3), (3, 4), (4, 5)).support() == {1, 2, 3, 4}
 
-    def test_issubset(self, ctx3):
-        small = ideal_of(ctx3, (1, 2))
-        big = ideal_of(ctx3, (1,))
-        assert small.issubset(big)
-        assert not big.issubset(small)
-
     def test_cross_context_operations_rejected(self, ctx3):
         other = RingContext(("u", "v", "w"))
         ours = ideal_of(ctx3, (1, 2))
-        theirs = other.ideal([other.variable(0)])
+        theirs = other.ideal([other.squarefree([0])])
         for op in (
             lambda: ours + theirs,
             lambda: ours * theirs,
             lambda: ours.intersection(theirs),
             lambda: ours.colon(theirs),
-            lambda: ours.contains(other.variable(0)),
-            lambda: ctx3.ideal([other.variable(0)]),
+            lambda: ctx3.ideal([other.squarefree([0])]),
         ):
             with pytest.raises(ContextMismatchError):
                 op()
@@ -392,7 +365,7 @@ class TestStructure:
                     for _ in range(rng.randint(1, 3))
                 ]
             )
-            both_ways = left.issubset(right) and right.issubset(left)
+            both_ways = left + right == right and right + left == left
             assert (left == right) == both_ways
 
 
