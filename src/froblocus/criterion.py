@@ -14,6 +14,21 @@ side is always contained in the left (``u^{q-1} * m_j`` is a multiple of
 the containment of the colon ideal in the sum.  The criterion does not
 depend on the characteristic.
 
+The containment is decided without forming the whole colon.  Write R for
+the right-hand side.  The colon is the intersection of the
+``(I^{[2]} : m_j)``, taken one j at a time, and each intersection is
+generated by the lcms of one generator from each side.  R is an ideal, so
+an lcm with a factor in R lies in R: a generator in R leads only to
+monomials in R.  ``_criterion`` therefore drops the generators in R from
+every ``(I^{[2]} : m_j)`` and every partial intersection, and stops when
+none is left.  What it keeps are exactly the minimal colon generators
+outside R: a divisor of a monomial outside R lies outside R too, so
+minimalising only the candidates outside R leaves the same minimal ones
+outside R as minimalising all of them.  The criterion holds exactly when
+nothing is kept, since R lies in the colon; the witness is the first kept
+generator in descending lexicographic order, that is, the first minimal
+generator of the colon, in that order, that R does not contain.
+
 The oracle checks the same property degree by degree, from first
 principles: writing ``C_e = (I^{[p^e]} : I)``, the degree-e graded piece of
 the algebra is ``C_e / I^{[p^e]}``, and the sub-piece generated by lower
@@ -104,38 +119,25 @@ class OracleParams:
             raise ValueError("generation threshold k must be at least 1")
 
 
-def _criterion_sides(
-    ideal: MonomialIdeal,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Canonical generators of (I^[2] : I) and of I^[2] + (lcm of generators)."""
-    vecs = ideal._vecs
-    squares = tuple(tuple(2 * e for e in v) for v in vecs)
-    colon = _colon_ideal_raw(squares, vecs)
-    full_lcm = vecs[0]
-    for v in vecs[1:]:
-        full_lcm = tuple(map(max, full_lcm, v))
-    rhs = _minimalize(squares + (full_lcm,))
-    return colon, rhs
-
-
 def _criterion(ideal: MonomialIdeal) -> tuple[bool, Monomial | None]:
-    """(verdict, offending monomial) for the degree-two criterion."""
+    """(verdict, offending monomial) for the degree-two criterion: the
+    offender is the first minimal generator of (I^[2] : I) outside
+    I^[2] + (lcm), in descending lex order (see the module docstring)."""
     if ideal.is_zero:
         return True, None
     if ideal.is_unit:
         raise ValueError("criterion undefined for the unit ideal")
     if not ideal.is_squarefree:
         raise ValueError("criterion requires a squarefree ideal")
-    colon, rhs = _criterion_sides(ideal)
-    if colon == rhs:
+    vecs = ideal._vecs
+    squares = tuple(tuple(2 * e for e in v) for v in vecs)
+    full_lcm = vecs[0]
+    for v in vecs[1:]:
+        full_lcm = tuple(map(max, full_lcm, v))
+    missing = _colon_ideal_raw(squares, vecs, squares + (full_lcm,))
+    if not missing:
         return True, None
-    for v in colon:
-        if not any(_vec_divides(u, v) for u in rhs):
-            return False, Monomial(ideal.context, v)
-    for v in rhs:  # defensive: the sum should always sit inside the colon
-        if not any(_vec_divides(u, v) for u in colon):
-            return False, Monomial(ideal.context, v)
-    raise AssertionError("unequal canonical ideals with mutual containment")
+    return False, Monomial(ideal.context, missing[0])
 
 
 def is_finitely_generated(ideal: MonomialIdeal) -> bool:
@@ -149,7 +151,8 @@ def is_finitely_generated(ideal: MonomialIdeal) -> bool:
 
 
 def criterion_witness(ideal: MonomialIdeal) -> Monomial | None:
-    """A generator of (I^[2] : I) missing from I^[2] + (lcm), or None."""
+    """The first minimal generator of (I^[2] : I), in descending lex order,
+    that I^[2] + (lcm) does not contain; None when the criterion holds."""
     _, witness = _criterion(ideal)
     return witness
 

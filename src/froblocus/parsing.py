@@ -16,6 +16,9 @@ from .monomials import EXPONENT_LIMIT, Monomial, MonomialIdeal, RingContext
 from .simplicial import Face, SimplicialComplex
 
 
+_MAX_SHOWN_DIGITS = 20
+
+
 class ParseError(ValueError):
     """Malformed CLI or problem-file input, or a problem ProblemInput rejects."""
 
@@ -47,7 +50,14 @@ def parse_monomial(text: str, context: RingContext) -> Monomial:
             power = power.strip()
             if not (power.isascii() and power.isdigit()):
                 raise ParseError(f"bad exponent in {token!r}")
-            k = int(power)
+            # int() and str() refuse a few thousand digits, so a long
+            # exponent is named by its digit count and never converted
+            digits = power.lstrip("0") or "0"
+            if len(digits) > _MAX_SHOWN_DIGITS:
+                raise ParseError(
+                    f"exponent of {len(digits)} digits exceeds limit {EXPONENT_LIMIT}"
+                )
+            k = int(digits)
             if k > EXPONENT_LIMIT:
                 raise ParseError(f"exponent {k} exceeds limit {EXPONENT_LIMIT}")
         else:

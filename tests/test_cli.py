@@ -88,6 +88,13 @@ class TestProblemFiles:
         with pytest.raises(ParseError):
             parse_problem("vars: x, y\nfacets: 1 3")
 
+    def test_huge_exponent(self):
+        # past 4,300 digits int() refuses the text; the digits are not shown
+        with pytest.raises(ParseError, match="^exponent of 5000 digits exceeds limit 65536$"):
+            parse_problem("vars: x\nideal: x^" + "9" * 5000)
+        leading_zeros = parse_problem("vars: x, y\nideal: x^" + "0" * 5000 + "1*y")
+        assert str(leading_zeros.ideal) == "(x*y)"
+
 
 class TestCliGolden:
     def test_example_one_text(self, capsys):
@@ -291,6 +298,14 @@ class TestCliErrors:
         args = ["locus", str(bad)] if face is None else ["check", str(bad), "--face", face]
         assert main(args) == 1
         assert capsys.readouterr().err == message + "\n"
+
+    def test_huge_exponent(self, capsys, tmp_path):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("vars: x\nideal: x^" + "9" * 5000 + "\n")
+        assert main(["locus", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exponent of 5000 digits exceeds limit 65536\n"
 
     def test_bad_flag(self, capsys):
         assert main(["locus", "--method", "psychic"]) == 1

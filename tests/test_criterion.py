@@ -11,12 +11,13 @@ from froblocus import (
     criterion_witness,
     degree_generation_ideal,
     degreewise_report,
+    face_monomial,
     frobenius_colon,
     generated_up_to,
     is_finitely_generated,
     new_generators_vanish,
 )
-from froblocus.criterion import _criterion_sides
+from froblocus.criterion import _criterion
 from helpers import (
     _compositions,
     all_antichains,
@@ -26,6 +27,7 @@ from helpers import (
     ideal_of,
     mono,
     random_squarefree_ideal,
+    reference_criterion,
 )
 
 
@@ -90,6 +92,31 @@ class TestCriterion:
         assert criterion_witness(ideal_of(ctx, (1, 2), (3, 4))) is None
 
 
+class TestAgainstReference:
+    """_criterion against the criterion built from both whole sides."""
+
+    def test_every_colon_on_four_vertices(self):
+        failing = 0
+        for ctx, delta in exhaustive_complexes(4):
+            ideal = delta.to_ideal(ctx)
+            for f in delta.faces():
+                colon = ideal.colon(face_monomial(f, ctx))
+                got = _criterion(colon)
+                assert got == reference_criterion(colon), (ideal, f)
+                failing += not got[0]
+        assert failing > 0
+
+    def test_random_ideals(self):
+        rng = random.Random(1812)
+        failing = 0
+        for _ in range(1000):
+            ideal = random_squarefree_ideal(rng, context(rng.randint(6, 9)), max_gens=8)
+            got = _criterion(ideal)
+            assert got == reference_criterion(ideal), ideal
+            failing += not got[0]
+        assert failing > 0
+
+
 class TestFrobeniusColon:
     def test_principal(self):
         ctx = context(2)
@@ -119,8 +146,9 @@ class TestLevelKernel:
     def _check(ideal, degrees):
         for p, e in degrees:
             assert frobenius_colon(ideal, p, e) == ideal.bracket(p**e).colon(ideal), (ideal, p, e)
-        # the criterion's colon is the same ideal at q = 2
-        assert frobenius_colon(ideal, 2, 1)._vecs == _criterion_sides(ideal)[0], ideal
+        # the criterion, which forms only the colon generators outside the
+        # right-hand side, against the reference on the whole colon at q = 2
+        assert _criterion(ideal) == reference_criterion(ideal), ideal
 
     def test_every_ideal_on_four_variables(self):
         degrees = [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]

@@ -304,6 +304,21 @@ class TestManyFacets:
         }
         assert time.perf_counter() - start < 1.0
 
+    def test_two_disjoint_simplices_algebraic(self):
+        # 64 generators x_i * y_j: the criterion on (I : 1) = I forms only the
+        # colon generators outside I^[2] + (lcm), not the whole colon
+        n = 16
+        ctx = context(n)
+        delta = SimplicialComplex(n, [range(8), range(8, n)])
+        start = time.perf_counter()
+        result = non_fg_locus(delta, context=ctx, method="algebraic")
+        elapsed = time.perf_counter() - start
+        witness = ctx.monomial((2,) + (0,) * 7 + (1,) * 8)
+        assert result.maximal == {
+            frozenset(): (Witness("colon_generator", monomial=witness),)
+        }
+        assert elapsed < 2.0
+
     @pytest.mark.parametrize("method", METHODS)
     def test_simplex_plus_two_points(self, method):
         # link(cl {}) is the whole complex, with 2^18 faces

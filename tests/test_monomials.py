@@ -23,6 +23,10 @@ from froblocus.monomials import (
 from helpers import brute_force_transversals, context, ideal_of, mono, sq
 
 
+def _divides(u, w):
+    return all(x <= y for x, y in zip(u, w))
+
+
 @pytest.fixture
 def ctx3():
     return context(3)
@@ -243,6 +247,42 @@ class TestColon:
             ideal_of(ctx3, (1,)).colon(ctx3.zero_ideal())
         with pytest.raises(ValueError):
             _colon_ideal_raw(((1, 0, 0),), ())
+        with pytest.raises(ValueError):
+            _colon_ideal_raw(((1, 0, 0),), (), ((1, 0, 0),))
+
+    def test_generators_outside_an_ideal(self):
+        # against the colon from first principles: w is in (a : b) when each
+        # w * f lies in (a); generators have exponents at most those of a.
+        # outside holds a random vector or none, and multiples of about half
+        # of the colon generators
+        rng = random.Random(4409)
+        partial = 0
+        for _ in range(500):
+            n = rng.randint(2, 5)
+            ctx = context(n)
+
+            def canonical(vecs):
+                return ctx.ideal(ctx.monomial(v) for v in vecs)._vecs
+
+            def draw(count, levels=(0, 1, 2, 3)):
+                return [[rng.choice(levels) for _ in range(n)] for _ in range(count)]
+
+            a = canonical(draw(rng.randint(2, 6)))
+            b = canonical(draw(rng.randint(1, 3), (0, 0, 1)))
+            box = itertools.product(*(range(max(col) + 1) for col in zip(*a)))
+            colon = canonical(
+                w for w in box
+                if all(any(_divides(g, tuple(map(sum, zip(w, f)))) for g in a) for f in b)
+            )
+            outside = canonical(draw(rng.randint(0, 1)) + [
+                [x + rng.randint(0, 1) for x in w] for w in colon if rng.random() < 0.5
+            ])
+            expected = tuple(
+                w for w in colon if not any(_divides(u, w) for u in outside)
+            )
+            assert _colon_ideal_raw(a, b, outside) == expected, (a, b, outside)
+            partial += 0 < len(expected) < len(colon)
+        assert partial > 40
 
 
 class TestBracketPower:
