@@ -4,8 +4,9 @@
 to the sha256 of its exit code and standard output.  Each complex is given
 as ``facets:`` text and as ``ideal:`` text (the irrelevant complex has no
 ``facets:`` line) and run through ``locus --format json`` with each
-``--method`` and through ``check --face ""``.  A change that declares new
-output regenerates the file with
+``--method``, through ``locus``, ``nci`` and ``oracle`` in text and JSON,
+and through ``check`` and ``link`` at the empty face.  A change that
+declares new output regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 """
@@ -25,7 +26,16 @@ DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
 COMMANDS = tuple(
     ["locus", "--format", "json", "--method", method]
     for method in ("algebraic", "combinatorial", "both")
-) + (["check", "--face", ""],)
+) + (
+    ["locus"],
+    ["nci"],
+    ["nci", "--format", "json"],
+    ["oracle"],
+    ["oracle", "--format", "json"],
+    ["link", "--face", ""],
+    ["check", "--face", ""],
+    ["check", "--face", "", "--format", "json"],
+)
 
 
 def _problem_texts():
