@@ -17,6 +17,7 @@ from typing import Any
 
 from .criterion import OracleParams, criterion_witness, degreewise_report
 from .locus import (
+    METHODS,
     LocusResult,
     MethodDisagreementError,
     Witness,
@@ -27,8 +28,6 @@ from .locus import (
 from .monomials import Monomial, MonomialIdeal
 from .parsing import ParseError, ProblemInput, parse_face, parse_problem
 from .simplicial import face_monomial, face_prime, format_face
-
-COMMANDS = ("locus", "check", "link", "oracle", "nci")
 
 
 @dataclass
@@ -256,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_locus = sub.add_parser("locus", help="compute the non-finitely-generated locus")
     common(p_locus)
-    p_locus.add_argument(
-        "--method", choices=("algebraic", "combinatorial", "both"), default="both"
-    )
+    p_locus.add_argument("--method", choices=METHODS, default="both")
 
     p_check = sub.add_parser("check", help="finite-generation test at one face")
     common(p_check)
@@ -289,7 +286,7 @@ def _read_input(path: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    if not args or (args[0] not in COMMANDS and args[0] not in ("-h", "--help")):
+    if not args or (args[0] not in _RUNNERS and args[0] not in ("-h", "--help")):
         args.insert(0, "locus")
     parser = build_parser()
     try:

@@ -52,9 +52,8 @@ a composition product, so the generated part is exactly
     sum over 0 < a < e of  C_a * C_{e-a}^{[p^a]}:
 
 e - 1 products instead of one per composition (2^(e-1) - 1 of them).
-``degreewise_report`` computes each ``C_a`` once for all degrees and starts
-each degree's sum from ``I^{[p^e]}``, so products that the Frobenius power
-already covers are dropped before they are minimalised.
+``degreewise_report`` computes each ``C_a`` once for all degrees and
+minimalises the products together with ``I^{[p^e]}``, in one pass per degree.
 
 Every ``C_e`` comes from one antichain of level pairs, whatever p and e.
 Let ``M_1, ..., M_s`` be the generator supports of ``I`` and ``q >= 2``.
@@ -86,7 +85,6 @@ from .monomials import (
     MonomialIdeal,
     _colon_ideal_raw,
     _minimalize,
-    _vec_divides,
     minimal_masks,
     support_masks,
 )
@@ -187,8 +185,9 @@ def _colon_levels(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
 
 def _frobenius_colons(
     ideal: MonomialIdeal, p: int, degrees: range
-) -> dict[int, MonomialIdeal]:
-    """C_e = (I^[p^e] : I) for each e in degrees, from one level antichain."""
+) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Canonical generators of C_e = (I^[p^e] : I) for each e in degrees, from
+    one level antichain."""
     _require_oracle_input(ideal)
     p = operator.index(p)
     if p < 2:
@@ -206,35 +205,33 @@ def _frobenius_colons(
     for e in degrees:
         # 0 < q - 1 < q keeps divisibility and order: the result is canonical
         step = (0, p**e - 1, p**e)
-        colons[e] = MonomialIdeal._from_vecs(
-            ideal.context, tuple(tuple(step[x] for x in v) for v in levels)
-        )
+        colons[e] = tuple(tuple(step[x] for x in v) for v in levels)
     return colons
 
 
 def frobenius_colon(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
     """(I^[p^e] : I), the degree-e piece of the algebra before quotienting."""
-    return _frobenius_colons(ideal, p, range(e, e + 1))[e]
+    colons = _frobenius_colons(ideal, p, range(e, e + 1))
+    return MonomialIdeal._from_vecs(ideal.context, colons[e])
 
 
 def _two_part_sum(
-    colons: dict[int, MonomialIdeal], p: int, e: int, base: tuple[tuple[int, ...], ...]
+    colons: dict[int, tuple[tuple[int, ...], ...]],
+    p: int,
+    e: int,
+    base: tuple[tuple[int, ...], ...],
 ) -> tuple[tuple[int, ...], ...]:
-    """Canonical generators of base + sum over 0 < a < e of C_a * C_{e-a}^[p^a].
-
-    ``colons[a]`` holds C_a.  A product that a base generator divides is
-    dropped before minimalisation, so a base of I^[p^e] prunes at once every
-    product the Frobenius power already covers.
-    """
-    kept = list(base)
+    """Canonical generators of base + sum over 0 < a < e of C_a * C_{e-a}^[p^a],
+    where ``colons[a]`` holds the generators of C_a."""
+    gens = list(base)
     for a in range(1, e):
-        lows = colons[a]._vecs
-        for w in colons[e - a].bracket(p**a)._vecs:
-            for u in lows:
-                prod = tuple(x + y for x, y in zip(u, w))
-                if not any(_vec_divides(b, prod) for b in base):
-                    kept.append(prod)
-    return _minimalize(kept)
+        q = p**a
+        gens.extend(
+            tuple(x + q * y for x, y in zip(u, w))
+            for w in colons[e - a]
+            for u in colons[a]
+        )
+    return _minimalize(gens)
 
 
 def degree_generation_ideal(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
@@ -245,7 +242,6 @@ def degree_generation_ideal(ideal: MonomialIdeal, p: int, e: int) -> MonomialIde
     the sum of the twisted products over every composition of e (see the
     module docstring).
     """
-    _require_oracle_input(ideal)
     if e < 2:
         raise ValueError("generation ideals start at degree 2")
     colons = _frobenius_colons(ideal, p, range(1, e))
@@ -256,14 +252,12 @@ def _degree_verdicts(
     ideal: MonomialIdeal, p: int, degrees: range
 ) -> tuple[tuple[int, bool], ...]:
     """(e, C_e == I^[p^e] + generated part) for each e in degrees, computing
-    each C_a once for all of them."""
-    if not degrees:
-        return ()
+    each C_a once for all of them; an empty range still checks the input."""
     if degrees.start < 2:
         raise ValueError("generation ideals start at degree 2")
     colons = _frobenius_colons(ideal, p, range(1, degrees.stop))
     return tuple(
-        (e, colons[e]._vecs == _two_part_sum(colons, p, e, ideal.bracket(p**e)._vecs))
+        (e, colons[e] == _two_part_sum(colons, p, e, ideal.bracket(p**e)._vecs))
         for e in degrees
     )
 

@@ -24,11 +24,19 @@ O(k^2 n) for k facets: h - v lies in g exactly when h - g = {v}.  A
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 from .criterion import _criterion
-from .monomials import Monomial, MonomialIdeal, RingContext, minimal_transversals
+from .monomials import (
+    Monomial,
+    MonomialIdeal,
+    RingContext,
+    minimal_masks,
+    minimal_transversals,
+    support_masks,
+)
 from .parsing import ProblemInput
 from .simplicial import (
     Face,
@@ -233,28 +241,31 @@ def non_fg_locus(
     return LocusResult(problem.context, merged, "both")
 
 
-def is_nci(ideal: MonomialIdeal) -> bool:
-    """Nearly-complete-intersection test.
+def _pairwise_disjoint(masks: list[int]) -> bool:
+    """No two masks share a bit: their popcounts add up to their union's."""
+    return sum(map(int.bit_count, masks)) == reduce(or_, masks, 0).bit_count()
 
-    True iff the ideal is squarefree, generated in degree at least two, not
-    itself a complete intersection, and setting any single support variable
-    to 1 (after discarding the non-support variables) leaves a complete
-    intersection.
+
+def is_nci(ideal: MonomialIdeal) -> bool:
+    """Nearly-complete-intersection test, on the generator support masks.
+
+    True iff the ideal is squarefree, every support has at least two
+    vertices (degree at least two), the supports are not pairwise disjoint
+    (not a complete intersection), and for each support vertex i the
+    minimal supports with i removed are pairwise disjoint: setting x_i to 1
+    leaves a complete intersection.
     """
     if not ideal.is_squarefree:
         raise ValueError("nearly-complete-intersection test requires squarefree input")
-    if ideal.is_zero or ideal.is_unit:
+    supports = support_masks(ideal)
+    if not supports or min(map(int.bit_count, supports)) < 2 or _pairwise_disjoint(supports):
         return False
-    if any(g.degree < 2 for g in ideal.generators):
-        return False
-    if ideal.is_complete_intersection():
-        return False
-    support = ideal.support()
-    outside = frozenset(range(ideal.context.n)) - support
-    for i in sorted(support):
-        if not ideal.localize(outside | {i}).is_complete_intersection():
-            return False
-    return True
+    union = reduce(or_, supports)
+    return all(
+        _pairwise_disjoint(minimal_masks(m & ~(1 << i) for m in supports))
+        for i in range(union.bit_length())
+        if union >> i & 1
+    )
 
 
 def nci_locus(ideal: MonomialIdeal) -> LocusResult:
@@ -269,7 +280,8 @@ def nci_locus(ideal: MonomialIdeal) -> LocusResult:
     verdict, offender = _criterion(ideal)
     if verdict:
         return LocusResult(context, {}, "nci")
-    base = frozenset(range(context.n)) - ideal.support()
+    union = reduce(or_, support_masks(ideal))
+    base = frozenset(i for i in range(context.n) if not union >> i & 1)
     return LocusResult(
         context, {base: (Witness("colon_generator", monomial=offender),)}, "nci"
     )

@@ -250,10 +250,6 @@ class Monomial:
         self.exponents = exps
         self._hash = hash((context.names, exps))
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Monomial):
             return NotImplemented
@@ -346,8 +342,6 @@ class MonomialIdeal:
 
     def intersection(self, other: MonomialIdeal) -> MonomialIdeal:
         _require_same_context(self.context, other.context)
-        if self.is_zero or other.is_zero:
-            return self.context.zero_ideal()
         return MonomialIdeal._from_vecs(
             self.context, _intersect_raw(self._vecs, other._vecs)
         )
@@ -360,8 +354,6 @@ class MonomialIdeal:
                 self.context, _colon_mono_raw(self._vecs, other.exponents)
             )
         _require_same_context(self.context, other.context)
-        if other.is_zero:
-            raise ValueError("colon by the zero ideal is undefined")
         return MonomialIdeal._from_vecs(
             self.context, _colon_ideal_raw(self._vecs, other._vecs)
         )
@@ -374,37 +366,6 @@ class MonomialIdeal:
         vecs = tuple(tuple(q * e for e in v) for v in self._vecs)
         # q-th powers of an antichain of monomials stay an antichain
         return MonomialIdeal._from_vecs(self.context, tuple(sorted(vecs, reverse=True)))
-
-    def localize(self, variables: Iterable[int]) -> MonomialIdeal:
-        """Monomial localization: set the listed variables to 1."""
-        away = frozenset(variables)
-        for i in away:
-            if not 0 <= i < self.context.n:
-                raise ValueError(f"variable index {i} out of range")
-        vecs = [
-            tuple(0 if i in away else e for i, e in enumerate(v))
-            for v in self._vecs
-        ]
-        return MonomialIdeal._from_vecs(self.context, _minimalize(vecs))
-
-    def support(self) -> frozenset[int]:
-        return frozenset(i for v in self._vecs for i, e in enumerate(v) if e)
-
-    def is_complete_intersection(self) -> bool:
-        """True iff the minimal generators have pairwise disjoint supports.
-
-        The zero ideal counts as a complete intersection, the unit ideal
-        does not.
-        """
-        if self.is_unit:
-            return False
-        seen: set[int] = set()
-        for v in self._vecs:
-            supp = {i for i, e in enumerate(v) if e}
-            if supp & seen:
-                return False
-            seen |= supp
-        return True
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -184,6 +184,47 @@ def reference_criterion(ideal: MonomialIdeal):
     raise AssertionError(f"I^[2] + (lcm) is not inside (I^[2] : I) for {ideal}")
 
 
+def _is_complete_intersection(vecs: list[tuple[int, ...]]) -> bool:
+    """Do the generators have pairwise disjoint supports?"""
+    seen: set[int] = set()
+    for v in vecs:
+        supp = {i for i, x in enumerate(v) if x}
+        if supp & seen:
+            return False
+        seen |= supp
+    return True
+
+
+def _localize(vecs: list[tuple[int, ...]], away: set[int]) -> list[tuple[int, ...]]:
+    """Minimal generators once the variables in ``away`` are set to 1."""
+    local = {tuple(0 if i in away else x for i, x in enumerate(v)) for v in vecs}
+    return [
+        v for v in local
+        if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in local)
+    ]
+
+
+def reference_is_nci(ideal: MonomialIdeal) -> bool:
+    """The nearly-complete-intersection test on exponent tuples: squarefree,
+    every generator of degree at least two, not a complete intersection,
+    and a complete intersection once one support variable and every
+    variable outside the support are set to 1.  The reference for
+    ``is_nci``."""
+    if not ideal.is_squarefree:
+        raise ValueError("nearly-complete-intersection test requires squarefree input")
+    vecs = [g.exponents for g in ideal.generators]
+    if not vecs or any(sum(v) < 2 for v in vecs):
+        return False
+    if _is_complete_intersection(vecs):
+        return False
+    support = {i for v in vecs for i, x in enumerate(v) if x}
+    outside = set(range(ideal.context.n)) - support
+    return all(
+        _is_complete_intersection(_localize(vecs, outside | {i}))
+        for i in sorted(support)
+    )
+
+
 # the n <= 5 corpus asks for 115k criteria of only 2.4k distinct colon ideals
 _criterion_of = lru_cache(maxsize=1 << 16)(reference_criterion)
 

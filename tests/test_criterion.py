@@ -306,6 +306,14 @@ class TestGeneratedUpTo:
     def test_vacuous_range(self, path_ideal):
         assert generated_up_to(path_ideal, OracleParams(p=2, e_max=3, k=3))
 
+    def test_vacuous_range_still_validates(self, ctx3):
+        # no degree is tested, but the ideal is checked as for k = 1
+        bad = (ctx3.unit_ideal(), ctx3.zero_ideal(), ctx3.ideal([mono(ctx3, 2, 0, 0)]))
+        for ideal in bad:
+            for k in (3, 4):
+                with pytest.raises(ValueError, match="oracle"):
+                    generated_up_to(ideal, OracleParams(e_max=3, k=k))
+
     def test_report_shape(self, path_ideal):
         report = degreewise_report(path_ideal, OracleParams(p=2, e_max=3, k=1))
         assert [e for e, _ in report] == [2, 3]
@@ -397,5 +405,9 @@ class TestCriterionInvariances:
             delta = SimplicialComplex.from_ideal(ideal)
             for f in delta.faces():
                 colon = ideal.colon(face_monomial(f, ctx))
-                localized = ideal.localize(f)
+                # localisation at f: set the variables of f to 1
+                localized = ctx.ideal(
+                    ctx.monomial(0 if i in f else x for i, x in enumerate(g.exponents))
+                    for g in ideal.generators
+                )
                 assert colon.generators == localized.generators

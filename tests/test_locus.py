@@ -4,6 +4,7 @@ nearly complete intersections, and the two-route cross-check."""
 import random
 import time
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -23,12 +24,15 @@ from froblocus import (
 from froblocus import locus as locus_module
 from froblocus.locus import METHODS
 from helpers import (
+    all_antichains,
     brute_force_locus,
     context,
     exhaustive_complexes,
     face,
     ideal_of,
     random_complex,
+    reference_criterion,
+    reference_is_nci,
 )
 
 
@@ -420,6 +424,55 @@ class TestNci:
         assert result.faces == direct.faces
         assert result.defining_ideal == direct.defining_ideal
 
+    @staticmethod
+    def _matches_reference(ideal) -> bool:
+        """is_nci against reference_is_nci, and nci_locus (faces, J, witness)
+        against the reference criterion; True when the ideal is NCI."""
+        nci = reference_is_nci(ideal)
+        assert is_nci(ideal) == nci, ideal
+        if not nci:
+            with pytest.raises(ValueError, match="not a nearly complete"):
+                nci_locus(ideal)
+            return False
+        ctx = ideal.context
+        result = nci_locus(ideal)
+        verdict, offender = reference_criterion(ideal)
+        if verdict:
+            assert result.empty and result.faces == (), ideal
+            assert result.defining_ideal == ctx.unit_ideal()
+            return True
+        support = {i for g in ideal.generators for i, x in enumerate(g.exponents) if x}
+        base = sorted(set(range(ctx.n)) - support)
+        subfaces = [frozenset(c) for k in range(len(base) + 1) for c in combinations(base, k)]
+        assert result.maximal == {
+            frozenset(base): (Witness("colon_generator", monomial=offender),)
+        }, ideal
+        assert result.faces == tuple(sorted(subfaces, key=face_key))
+        assert result.defining_ideal == ctx.ideal(ctx.squarefree([i]) for i in support)
+        return True
+
+    def test_every_squarefree_ideal_on_five_variables(self):
+        found = 0
+        for n in range(1, 6):
+            ctx = context(n)
+            found += self._matches_reference(ctx.zero_ideal())
+            for supports in all_antichains(n):
+                found += self._matches_reference(ctx.ideal(map(ctx.squarefree, supports)))
+        assert found > 600
+
+    def test_random_ideals_on_six_to_nine_variables(self):
+        rng = random.Random(19)
+        found = 0
+        for _ in range(3000):
+            n = rng.randint(6, 9)
+            ctx = context(n)
+            ideal = ctx.ideal(
+                ctx.squarefree(rng.sample(range(n), rng.randint(2, 3)))
+                for _ in range(rng.randint(2, 4))
+            )
+            found += self._matches_reference(ideal)
+        assert found > 200
+
     def test_requires_nci(self):
         ctx = context(4)
         with pytest.raises(ValueError):
@@ -440,7 +493,7 @@ class TestNci:
             ideal = ctx.ideal(gens)
             if ideal.is_unit or ideal.is_zero or not ideal.is_squarefree:
                 continue
-            if any(g.degree < 2 for g in ideal.generators):
+            if any(sum(g.exponents) < 2 for g in ideal.generators):
                 continue
             if not is_nci(ideal):
                 continue
