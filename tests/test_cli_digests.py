@@ -5,7 +5,9 @@ to the sha256 of its exit code and standard output.  Each complex is given
 as ``facets:`` text and as ``ideal:`` text (the irrelevant complex has no
 ``facets:`` line) and run through ``locus --format json`` with each
 ``--method``, through ``locus``, ``nci`` and ``oracle`` in text and JSON,
-and through ``check`` and ``link`` at the empty face.  A change that
+and through ``check`` and ``link`` at the empty face and at vertex 1 in text
+and JSON.  Vertex 1 is a face of some inputs and a non-face of others; the
+full simplex, whose ideal is zero, is among the first.  A change that
 declares new output regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_digests.py
@@ -33,8 +35,13 @@ COMMANDS = tuple(
     ["oracle"],
     ["oracle", "--format", "json"],
     ["link", "--face", ""],
+    ["link", "--face", "", "--format", "json"],
     ["check", "--face", ""],
     ["check", "--face", "", "--format", "json"],
+    ["check", "--face", "1"],
+    ["check", "--face", "1", "--format", "json"],
+    ["link", "--face", "1"],
+    ["link", "--face", "1", "--format", "json"],
 )
 
 
