@@ -76,17 +76,36 @@ class TestProblemFiles:
         assert problem.complex is not None
         assert len(problem.complex.facets) == 3
 
+    # the first fault wins: a body line is checked for vars, then for an
+    # earlier body, and only then is its value read
+    ERRORS = [
+        ("nonsense: 3\nvars: x, y", "line 1: unknown key 'nonsense'"),
+        ("vars: x, y\nnonsense: 3", "line 2: unknown key 'nonsense'"),
+        ("ideal: x*y", "line 1: vars must come before ideal"),
+        ("facets: 1 2", "line 1: vars must come before facets"),
+        ("ideal: q\nvars: x", "line 1: vars must come before ideal"),
+        ("vars: x, y\nvars: x, y", "line 2: duplicate vars declaration"),
+        ("vars: x, y\nideal: x\nvars: x", "line 3: duplicate vars declaration"),
+        ("vars: x, y\nideal: x\nideal: y", "line 3: duplicate problem body"),
+        ("vars: x, y\nideal: x\nfacets: 1", "line 3: duplicate problem body"),
+        ("vars: x, y\nfacets: 1\nideal: x", "line 3: duplicate problem body"),
+        ("vars: x, y\nideal: x\nideal: q", "line 3: duplicate problem body"),
+        ("vars: x, y\nideal: x\nfacets: 5", "line 3: duplicate problem body"),
+        ("# c\nvars: x\n\nfacets: 1\nIdeal: x", "line 5: duplicate problem body"),
+        ("vars: x, y\nfacets: ;", "line 2: no facets given"),
+        ("vars: x, y\nfacets: 1 3", "vertex 3 outside 1..2"),
+        ("vars: x, y\nideal x*y", "line 2: expected 'key: value', got 'ideal x*y'"),
+        ("", "missing vars declaration"),
+        ("# only a comment\n", "missing vars declaration"),
+        ("vars: x, y", "missing ideal or facets declaration"),
+        ("vars: x, y\n  # only a comment", "missing ideal or facets declaration"),
+    ]
+
     def test_errors(self):
-        with pytest.raises(ParseError):
-            parse_problem("ideal: x*y")
-        with pytest.raises(ParseError):
-            parse_problem("vars: x, y")
-        with pytest.raises(ParseError):
-            parse_problem("vars: x, y\nideal: x\nfacets: 1")
-        with pytest.raises(ParseError):
-            parse_problem("vars: x, y\nnonsense: 3")
-        with pytest.raises(ParseError):
-            parse_problem("vars: x, y\nfacets: 1 3")
+        for text, message in self.ERRORS:
+            with pytest.raises(ParseError) as info:
+                parse_problem(text)
+            assert str(info.value) == message, text
 
     def test_huge_exponent(self):
         # past 4,300 digits int() refuses the text; the digits are not shown
