@@ -5,10 +5,10 @@ not finitely generated form a Zariski-closed set cut out by an intersection
 of face primes: a face F belongs to the locus exactly when the colon ideal
 (I : x_F) fails the degree-two criterion.  The locus is therefore a
 simplicial complex, determined by its maximal faces; its defining ideal J is
-the intersection of their face primes.  Two independent routes compute those
-maximal faces: the algebraic one runs the criterion on (I : x_F); the
-combinatorial one asks whether link(cl F) has a free face, where cl F is the
-intersection of the facets S(F) containing F (the core of link F).
+the intersection of their face primes.  Both routes read the complex of I on
+all n vertices (``ProblemInput`` guarantees it), where F is in the locus
+exactly when link(cl F) has a free face; cl F is the intersection of the
+facets S(F) containing F (the core of link F).
 
 A *free ridge* is a set h - v, for a facet h and v in h, that lies in no
 other facet.  link(cl F), with facets h - cl F for h in S(F), has a free face
@@ -16,8 +16,11 @@ exactly when it has a free ridge (grow the face inside its only facet), and
 (h - cl F) - v is one exactly when h - v is a free ridge with v outside cl F,
 that is, with v in h - g for some g in S(F).  So every maximal locus face is
 a meet h & g of two facets; both routes test only these meets, largest
-first, skipping any inside one already accepted.  The combinatorial test is
-O(k^2 n) for k facets: h - v lies in g exactly when h - g = {v}.  A
+first, skipping any inside one already accepted.  The algebraic route runs
+the criterion on (I : x_F); the combinatorial one looks for a free ridge of
+link F (a meet is its own closure: cl F lies in h & g = F), in O(k^2 n) for
+k facets: h - v lies in g exactly when h - g = {v}.  The zero ideal's full
+simplex has one facet and no meet, so its locus is empty.  A
 ``LocusResult`` stores only the maximal faces, with their witnesses.
 """
 
@@ -60,7 +63,7 @@ class Witness:
     """Why a face was accepted into the locus.
 
     kind is one of ``colon_generator`` (a generator of (K^[2]:K) outside
-    K^[2] + (lcm)), ``free_face`` (the smallest free face of link(cl F)), or
+    K^[2] + (lcm)), ``free_face`` (the smallest free face of link F), or
     ``implied_by`` (a non-maximal face, naming its maximal superface that
     is largest by ``face_key``; membership is closed under taking subfaces).
     """
@@ -134,33 +137,33 @@ def _maximal_locus_faces(
     return accepted
 
 
-def _ridge_vertices(h: Face, holders: list[Face], closure: Face) -> Face:
-    """The v in h - cl F for which h - v is a free ridge, for h in S(F):
-    those that are not the whole gap h - g of any g in S(F)."""
-    return h - closure - {v for g in holders if len(h - g) == 1 for v in h - g}
+def _ridge_vertices(h: Face, holders: list[Face], face: Face) -> Face:
+    """The v in h - F for which h - v is a free ridge of link F (a meet is its
+    own closure), for h in S(F): those not the whole gap h - g of any g in S(F)."""
+    return h - face - {v for g in holders if len(h - g) == 1 for v in h - g}
 
 
-def _smallest_free_face(holders: list[Face], closure: Face) -> Face:
-    """The smallest free face of link(cl F) by ``face_key``, for S(F) and cl F.
+def _smallest_free_face(holders: list[Face], face: Face) -> Face:
+    """The smallest free face by ``face_key`` of link F (a meet is its own closure).
 
-    f inside h - cl F lies in no other link facet exactly when it meets each
-    gap h - g (g in S(F), g != h), and is free unless it is all of h - cl F;
+    f inside h - F lies in no other link facet exactly when it meets each
+    gap h - g (g in S(F), g != h), and is free unless it is all of h - F;
     so a smallest free face is a minimal transversal of some h's gaps.
-    Only facets with a free ridge h - v, v outside cl F, give one.  Every
-    gap lies in h - cl F, so a transversal t of h's gaps with fewer vertices
-    than h - cl F misses some v in h - cl F.  Then h - v contains t, so it
-    meets every gap and lies in no other facet of S(F); it contains F, so it
-    lies in no facet outside S(F) either: h - v is a free ridge.
+    Only facets with a free ridge h - v, v outside F, give one.  Every gap
+    lies in h - F, so a transversal t of h's gaps with fewer vertices than
+    h - F misses some v in h - F.  Then h - v contains t, so it meets every
+    gap and lies in no other facet of S(F); it contains F, so it lies in no
+    facet outside S(F) either: h - v is a free ridge.
     """
     free = [
         frozenset(v for v in h if t >> v & 1)
         for h in holders
-        if _ridge_vertices(h, holders, closure)
+        if _ridge_vertices(h, holders, face)
         for t in minimal_transversals(face_mask(h - g) for g in holders if g != h)
-        if t.bit_count() < len(h - closure)
+        if t.bit_count() < len(h - face)
     ]
     if not free:
-        raise RuntimeError(f"no free face in the link of {format_face(closure)}")
+        raise RuntimeError(f"no free face in the link of {format_face(face)}")
     return min(free, key=face_key)
 
 
@@ -171,8 +174,6 @@ def locus_algebraic(
     """Compute the locus by running the colon criterion on the facet meets."""
     problem = ProblemInput.of(source, context)
     context = problem.context
-    if problem.is_zero:
-        return LocusResult(context, {}, "algebraic")
     ideal = problem.ideal
 
     def test(f: Face) -> Witness | None:
@@ -191,16 +192,13 @@ def locus_combinatorial(
 ) -> LocusResult:
     """Compute the locus by looking for free ridges among the facets."""
     problem = ProblemInput.of(source, context)
-    if problem.is_zero:
-        return LocusResult(problem.context, {}, "combinatorial")
     delta = problem.complex
 
     def test(f: Face) -> Witness | None:
         holders = [h for h in delta.facets if f <= h]
-        closure = frozenset.intersection(*holders)
-        if not any(_ridge_vertices(h, holders, closure) for h in holders):
+        if not any(_ridge_vertices(h, holders, f) for h in holders):
             return None
-        return Witness("free_face", face=_smallest_free_face(holders, closure))
+        return Witness("free_face", face=_smallest_free_face(holders, f))
 
     return LocusResult(problem.context, _maximal_locus_faces(delta, test), "combinatorial")
 

@@ -93,9 +93,12 @@ class ProblemInput:
     ideal, the void complex, a non-squarefree ideal, a context that does not
     fit, or neither an ideal nor a complex.  A complex without a context gets
     ``x1..xn``.
+
+    ``complex`` is the complex of ``ideal`` on all n vertices: one on a smaller
+    universe, such as a link, is coned over the vertices outside it.
     """
 
-    __slots__ = ("context", "is_zero", "_ideal", "_complex")
+    __slots__ = ("context", "_ideal", "_complex")
 
     def __init__(
         self,
@@ -113,7 +116,6 @@ class ProblemInput:
             if ideal.is_unit:
                 raise ParseError("the unit ideal is not a valid input")
             context = ideal.context
-            self.is_zero = ideal.is_zero
         elif complex is not None:
             if context is None:
                 context = RingContext(tuple(f"x{i + 1}" for i in range(complex.n)))
@@ -121,8 +123,9 @@ class ProblemInput:
                 raise ParseError("context size does not match the complex")
             if complex.is_void:
                 raise ParseError("the void complex is not a valid input")
-            # only the full simplex has the zero ideal
-            self.is_zero = complex.facets == (complex.vertices,)
+            cone = frozenset(range(complex.n)) - complex.vertices
+            if cone:
+                complex = SimplicialComplex(complex.n, [h | cone for h in complex.facets])
         else:
             raise ParseError("missing ideal or facets declaration")
         self.context = context
@@ -177,23 +180,20 @@ def parse_problem(text: str) -> ProblemInput:
             if context is not None:
                 raise ParseError(f"line {lineno}: duplicate vars declaration")
             context = parse_variables(value)
-        elif key == "ideal":
+        elif key in ("ideal", "facets"):
             if context is None:
-                raise ParseError(f"line {lineno}: vars must come before ideal")
+                raise ParseError(f"line {lineno}: vars must come before {key}")
             if ideal is not None or complex_ is not None:
                 raise ParseError(f"line {lineno}: duplicate problem body")
-            gens = [t for t in value.split(",") if t.strip()]
-            ideal = context.ideal([parse_monomial(t, context) for t in gens])
-        elif key == "facets":
-            if context is None:
-                raise ParseError(f"line {lineno}: vars must come before facets")
-            if ideal is not None or complex_ is not None:
-                raise ParseError(f"line {lineno}: duplicate problem body")
-            groups = [g for g in value.split(";") if g.strip()]
-            if not groups:
-                raise ParseError(f"line {lineno}: no facets given")
-            facets = [parse_face(g, context.n) for g in groups]
-            complex_ = SimplicialComplex(context.n, facets)
+            if key == "ideal":
+                gens = [t for t in value.split(",") if t.strip()]
+                ideal = context.ideal([parse_monomial(t, context) for t in gens])
+            else:
+                groups = [g for g in value.split(";") if g.strip()]
+                if not groups:
+                    raise ParseError(f"line {lineno}: no facets given")
+                facets = [parse_face(g, context.n) for g in groups]
+                complex_ = SimplicialComplex(context.n, facets)
         else:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
     if context is None:

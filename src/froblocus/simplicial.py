@@ -1,11 +1,12 @@
 """Simplicial complexes and the squarefree-ideal correspondence.
 
 A complex lives on the vertex index range ``0..n-1`` of a ring context, but
-carries its own *active* vertex universe: taking a link removes the linked
-vertices from the universe, which is exactly what makes
-``link(F).to_ideal(ctx) == I.colon(face_monomial(F, ctx))`` hold.  Vertices
-in the universe that appear in no facet are non-faces (their variables
-generate), while vertices outside the universe simply do not occur.
+carries its own *active* vertex universe, for one purpose: taking a link
+removes the linked vertices from it, so that
+``link(F).to_ideal(ctx) == I.colon(face_monomial(F, ctx))``.  Vertices in
+the universe that appear in no facet are non-faces (their variables
+generate); vertices outside it occur in no generator, so a ``ProblemInput``
+cones the complex over them: the same ideal's complex on all n vertices.
 
 The void complex (no facets) and the irrelevant complex (only the empty
 face) are distinct representable states.

@@ -11,6 +11,7 @@ import pytest
 from froblocus import (
     LocusResult,
     MethodDisagreementError,
+    ProblemInput,
     RingContext,
     SimplicialComplex,
     Witness,
@@ -172,6 +173,44 @@ class TestProblemNormalForm:
         ctx = context(4)
         non_fg_locus(ideal_of(ctx, (1, 2, 3), (3, 4)))
         assert derivations["from_ideal"] == 1
+
+
+class TestLinks:
+    """A link is an ordinary problem: its locus is the locus of its ideal on
+    all n variables, and its problem complex is coned over the linked face."""
+
+    @staticmethod
+    def _check(ctx, link, methods):
+        ideal = link.to_ideal(ctx)
+        assert ProblemInput(ctx, complex=link).complex == SimplicialComplex.from_ideal(ideal)
+        for method in methods:
+            got = non_fg_locus(link, context=ctx, method=method)
+            expected = non_fg_locus(ideal, method=method)
+            assert got.maximal == expected.maximal, (link, method)
+            assert got.defining_ideal == expected.defining_ideal, (link, method)
+
+    def test_link_of_a_vertex(self):
+        ctx = context(5)
+        delta = SimplicialComplex(5, [face(1, 2, 3), face(1, 3, 4), face(1, 4, 5)])
+        link = delta.link(face(1))
+        assert link.to_ideal(ctx) == ideal_of(ctx, (2, 4), (2, 5), (3, 5))
+        result = non_fg_locus(link, context=ctx)
+        assert result.maximal_faces == (face(1),)
+        assert result.defining_ideal == ideal_of(ctx, (2,), (3,), (4,), (5,))
+
+    def test_every_link_on_four_vertices(self):
+        for ctx, delta in exhaustive_complexes(4):
+            for f in delta.faces():
+                self._check(ctx, delta.link(f), METHODS)
+
+    def test_random_links_on_twenty_to_twenty_nine_vertices(self):
+        rng = random.Random(2020)
+        for _ in range(200):
+            n = rng.randint(20, 29)
+            delta = random_complex(rng, n)
+            h = rng.choice(delta.facets)
+            f = frozenset(rng.sample(sorted(h), rng.randint(0, len(h))))
+            self._check(context(n), delta.link(f), ["combinatorial"])
 
 
 class TestResultInvariants:
