@@ -136,10 +136,10 @@ def _run_locus(problem: ProblemInput, ns: argparse.Namespace) -> Report:
 def _run_check(problem: ProblemInput, ns: argparse.Namespace) -> Report:
     context = problem.context
     face = parse_face(ns.face, context.n)
-    if not problem.complex.is_face(face):
-        raise ParseError(f"{format_face(face)} is not a face")
     ideal = problem.ideal
     colon = ideal.colon(face_monomial(face, context))
+    if colon.is_unit:
+        raise ParseError(f"{format_face(face)} is not a face")
     offender = criterion_witness(colon)
     verdict = offender is None
     data = {

@@ -148,17 +148,16 @@ def _smallest_free_face(holders: list[Face], face: Face) -> Face:
 
     f inside h - F lies in no other link facet exactly when it meets each
     gap h - g (g in S(F), g != h), and is free unless it is all of h - F;
-    so a smallest free face is a minimal transversal of some h's gaps.
-    Only facets with a free ridge h - v, v outside F, give one.  Every gap
-    lies in h - F, so a transversal t of h's gaps with fewer vertices than
-    h - F misses some v in h - F.  Then h - v contains t, so it meets every
-    gap and lies in no other facet of S(F); it contains F, so it lies in no
-    facet outside S(F) either: h - v is a free ridge.
+    so a smallest free face is a minimal transversal t of some h's gaps with
+    fewer vertices than h - F.  Such a t shows a free ridge: every gap lies in
+    h - F, so t misses some v in h - F.  Then h - v contains t, so it meets
+    every gap and lies in no other facet of S(F); it contains F, so it lies in
+    no facet outside S(F) either.  So the size test alone keeps only facets
+    with a free ridge h - v, v outside F.
     """
     free = [
         frozenset(v for v in h if t >> v & 1)
         for h in holders
-        if _ridge_vertices(h, holders, face)
         for t in minimal_transversals(face_mask(h - g) for g in holders if g != h)
         if t.bit_count() < len(h - face)
     ]
@@ -167,12 +166,9 @@ def _smallest_free_face(holders: list[Face], face: Face) -> Face:
     return min(free, key=face_key)
 
 
-def locus_algebraic(
-    source: MonomialIdeal | SimplicialComplex | ProblemInput,
-    context: RingContext | None = None,
-) -> LocusResult:
+def locus_algebraic(source: MonomialIdeal | SimplicialComplex | ProblemInput) -> LocusResult:
     """Compute the locus by running the colon criterion on the facet meets."""
-    problem = ProblemInput.of(source, context)
+    problem = ProblemInput.of(source)
     context = problem.context
     ideal = problem.ideal
 
@@ -186,12 +182,9 @@ def locus_algebraic(
     return LocusResult(context, _maximal_locus_faces(problem.complex, test), "algebraic")
 
 
-def locus_combinatorial(
-    source: MonomialIdeal | SimplicialComplex | ProblemInput,
-    context: RingContext | None = None,
-) -> LocusResult:
+def locus_combinatorial(source: MonomialIdeal | SimplicialComplex | ProblemInput) -> LocusResult:
     """Compute the locus by looking for free ridges among the facets."""
-    problem = ProblemInput.of(source, context)
+    problem = ProblemInput.of(source)
     delta = problem.complex
 
     def test(f: Face) -> Witness | None:
@@ -204,10 +197,7 @@ def locus_combinatorial(
 
 
 def non_fg_locus(
-    source: MonomialIdeal | SimplicialComplex | ProblemInput,
-    *,
-    context: RingContext | None = None,
-    method: str = "both",
+    source: MonomialIdeal | SimplicialComplex | ProblemInput, *, method: str = "both"
 ) -> LocusResult:
     """Dispatch to one or both routes; with both, cross-check them.
 
@@ -219,7 +209,7 @@ def non_fg_locus(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    problem = ProblemInput.of(source, context)
+    problem = ProblemInput.of(source)
     if method == "algebraic":
         return locus_algebraic(problem)
     if method == "combinatorial":

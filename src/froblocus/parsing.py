@@ -133,20 +133,14 @@ class ProblemInput:
         self._complex = complex
 
     @classmethod
-    def of(
-        cls,
-        source: MonomialIdeal | SimplicialComplex | ProblemInput,
-        context: RingContext | None = None,
-    ) -> ProblemInput:
+    def of(cls, source: MonomialIdeal | SimplicialComplex | ProblemInput) -> ProblemInput:
         """The problem of an ideal or a complex; a problem is returned as is."""
         if isinstance(source, ProblemInput):
-            if context is not None and context != source.context:
-                raise ParseError("explicit context conflicts with the problem's")
             return source
         if isinstance(source, MonomialIdeal):
-            return cls(context, ideal=source)
+            return cls(ideal=source)
         if isinstance(source, SimplicialComplex):
-            return cls(context, complex=source)
+            return cls(complex=source)
         raise TypeError(
             "source must be a MonomialIdeal, SimplicialComplex or ProblemInput"
         )

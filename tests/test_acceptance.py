@@ -124,7 +124,7 @@ def algebraic_loci(corpus_with_ideals):
     once for criteria 5 and 8, with the seconds it took."""
     start = time.perf_counter()
     loci = [
-        None if ideal.is_zero else locus_algebraic(delta, ctx)
+        None if ideal.is_zero else locus_algebraic(delta)
         for ctx, delta, ideal in corpus_with_ideals
     ]
     return loci, time.perf_counter() - start
@@ -136,10 +136,10 @@ def test_criterion_5_method_agreement(corpus_with_ideals, algebraic_loci):
     checked = 0
     for (ctx, delta, ideal), algebraic in zip(corpus_with_ideals, loci):
         if ideal.is_zero:
-            assert locus_combinatorial(delta, ctx).empty
+            assert locus_combinatorial(delta).empty
             checked += 1
             continue
-        combinatorial = locus_combinatorial(delta, ctx)
+        combinatorial = locus_combinatorial(delta)
         assert algebraic.faces == combinatorial.faces, (
             f"method disagreement on {delta!r}"
         )

@@ -1,6 +1,7 @@
 """Input grammar, problem files and the command line surface."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,28 @@ class TestCliSubcommands:
         code = main(["check", str(DATA / "ex3.txt"), "--face", "1 2"])
         assert code == 1
         assert "not a face" in capsys.readouterr().err
+
+    def test_check_on_many_facets_builds_no_complex(self, capsys, tmp_path, derivations):
+        # 12 disjoint edges: the complex has 2^12 facets, but a face is x_F
+        # outside I, which the colon (I : x_F) already shows
+        names = [f"x{i}" for i in range(1, 25)]
+        edges = [f"{a}*{b}" for a, b in zip(names[::2], names[1::2])]
+        problem = tmp_path / "edges.txt"
+        problem.write_text(f"vars: {', '.join(names)}\nideal: {', '.join(edges)}\n")
+        start = time.perf_counter()
+        code = main(["check", str(problem), "--face", "1"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out == (
+            f"vars: {', '.join(names)}\nface: {{1}}\n"
+            f"colon ideal: ({', '.join(['x2'] + edges[1:])})\n"
+            "result: finitely generated\n"
+        )
+        assert elapsed < 0.1
+        assert main(["check", str(problem), "--face", "1 2"]) == 1
+        assert capsys.readouterr() == ("", "error: {1,2} is not a face\n")
+        assert derivations["from_ideal"] == 0
 
     def test_link(self, capsys):
         code = main(["link", str(DATA / "ex1.txt"), "--face", "3"])
@@ -400,8 +423,8 @@ class TestCliErrors:
 
         real = locus_module.locus_combinatorial
 
-        def broken(delta, ctx=None):
-            result = real(delta, ctx)
+        def broken(source):
+            result = real(source)
             kept = dict(list(result.maximal.items())[1:])
             return LocusResult(result.context, kept, result.method)
 

@@ -2,15 +2,18 @@
 nearly complete intersections, and the two-route cross-check."""
 
 import random
+import re
 import time
 from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from froblocus import (
     LocusResult,
     MethodDisagreementError,
+    ParseError,
     ProblemInput,
     RingContext,
     SimplicialComplex,
@@ -35,6 +38,8 @@ from helpers import (
     reference_criterion,
     reference_is_nci,
 )
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -78,6 +83,15 @@ class TestGoldenExamples:
         assert result.defining_ideal == ideal_of(ctx, (1, 2), (3,), (4,))
         assert result.faces == (frozenset(), face(1), face(2))
         assert result.maximal_faces == (face(1), face(2))
+
+    def test_readme_library_example(self, capsys):
+        # example one in its own variables, as the README's Library section runs it
+        library = README.read_text().split("## Library\n", 1)[1]
+        code = library.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(code, {})
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == ["(x, y, w, a, b)", "(frozenset({2}),)"]
+        assert printed == re.findall(r"# (.*)", code)
 
 
 class TestEdgeCases:
@@ -134,32 +148,41 @@ class TestProblemNormalForm:
     ]
 
     @pytest.mark.parametrize(
-        "source, ctx, message",
+        "source, message",
         [
-            (SimplicialComplex(3, []), None, "the void complex is not a valid input"),
-            (context(3).unit_ideal(), None, "the unit ideal is not a valid input"),
+            (SimplicialComplex(3, []), "the void complex is not a valid input"),
+            (context(3).unit_ideal(), "the unit ideal is not a valid input"),
             (
                 context(3).ideal([context(3).monomial((2, 0, 0))]),
-                None,
                 "generators must be squarefree",
             ),
+        ],
+    )
+    def test_invalid_input_rejected_alike(self, source, message):
+        for entry in self.ENTRY_POINTS:
+            with pytest.raises(ValueError) as caught:
+                entry(source)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "ctx, source, message",
+        [
             (
-                ideal_of(context(3), (1, 2)),
                 RingContext(("a", "b", "c")),
+                {"ideal": ideal_of(context(3), (1, 2))},
                 "explicit context conflicts with the ideal's",
             ),
             (
-                SimplicialComplex(3, [face(1, 2)]),
                 context(4),
+                {"complex": SimplicialComplex(3, [face(1, 2)])},
                 "context size does not match the complex",
             ),
         ],
     )
-    def test_invalid_input_rejected_alike(self, source, ctx, message):
-        for entry in self.ENTRY_POINTS:
-            with pytest.raises(ValueError) as caught:
-                entry(source, context=ctx)
-            assert str(caught.value) == message
+    def test_ring_that_does_not_fit_rejected(self, ctx, source, message):
+        with pytest.raises(ParseError) as caught:
+            ProblemInput(ctx, **source)
+        assert str(caught.value) == message
 
     def test_combinatorial_route_needs_no_ideal(self, derivations):
         delta = SimplicialComplex(4, [face(1, 2, 3), face(3, 4)])
@@ -184,7 +207,7 @@ class TestLinks:
         ideal = link.to_ideal(ctx)
         assert ProblemInput(ctx, complex=link).complex == SimplicialComplex.from_ideal(ideal)
         for method in methods:
-            got = non_fg_locus(link, context=ctx, method=method)
+            got = non_fg_locus(link, method=method)
             expected = non_fg_locus(ideal, method=method)
             assert got.maximal == expected.maximal, (link, method)
             assert got.defining_ideal == expected.defining_ideal, (link, method)
@@ -194,7 +217,7 @@ class TestLinks:
         delta = SimplicialComplex(5, [face(1, 2, 3), face(1, 3, 4), face(1, 4, 5)])
         link = delta.link(face(1))
         assert link.to_ideal(ctx) == ideal_of(ctx, (2, 4), (2, 5), (3, 5))
-        result = non_fg_locus(link, context=ctx)
+        result = non_fg_locus(link)
         assert result.maximal_faces == (face(1),)
         assert result.defining_ideal == ideal_of(ctx, (2,), (3,), (4,), (5,))
 
@@ -268,8 +291,8 @@ class TestResultInvariants:
         _, _, ideal = example_one
         real = locus_module.locus_combinatorial
 
-        def broken(delta, ctx=None):
-            result = real(delta, ctx)
+        def broken(source):
+            result = real(source)
             kept = dict(list(result.maximal.items())[1:])
             return LocusResult(result.context, kept, result.method)
 
@@ -293,7 +316,7 @@ class TestResultInvariants:
         ctx = context(24)
         delta = SimplicialComplex(24, [range(22), range(2, 24)])
         start = time.perf_counter()
-        result = non_fg_locus(delta, context=ctx, method=method)
+        result = non_fg_locus(delta, method=method)
         assert result.maximal_faces == (frozenset(range(2, 22)),)
         assert result.defining_ideal == ideal_of(ctx, (1,), (2,), (23,), (24,))
         assert time.perf_counter() - start < 1.0
@@ -326,7 +349,7 @@ class TestManyFacets:
         n = 26
         delta = SimplicialComplex(n, [set(range(n)) - {v} for v in range(n)])
         start = time.perf_counter()
-        result = non_fg_locus(delta, context=context(n), method=method)
+        result = non_fg_locus(delta, method=method)
         assert result.empty
         assert time.perf_counter() - start < 1.0
 
@@ -354,7 +377,7 @@ class TestManyFacets:
         ctx = context(n)
         delta = SimplicialComplex(n, [range(8), range(8, n)])
         start = time.perf_counter()
-        result = non_fg_locus(delta, context=ctx, method="algebraic")
+        result = non_fg_locus(delta, method="algebraic")
         elapsed = time.perf_counter() - start
         witness = ctx.monomial((2,) + (0,) * 7 + (1,) * 8)
         assert result.maximal == {
@@ -369,7 +392,7 @@ class TestManyFacets:
         ctx = context(n)
         delta = SimplicialComplex(n, [range(18), {18}, {19}])
         start = time.perf_counter()
-        result = non_fg_locus(delta, context=ctx, method=method)
+        result = non_fg_locus(delta, method=method)
         elapsed = time.perf_counter() - start
         assert result.maximal_faces == (frozenset(),)
         assert result.defining_ideal == ctx.ideal(ctx.squarefree([i]) for i in range(n))
@@ -393,7 +416,7 @@ class TestBruteForceOracle:
     @staticmethod
     def _check(ctx, delta):
         for method in METHODS:
-            got = non_fg_locus(delta, context=ctx, method=method)
+            got = non_fg_locus(delta, method=method)
             expected = brute_force_locus(delta, ctx, method)
             assert got.faces == expected.faces, (delta, method)
             assert got.maximal_faces == expected.maximal_faces, (delta, method)
@@ -410,7 +433,7 @@ class TestBruteForceOracle:
 
     def test_every_face_tested(self):
         for ctx, delta in exhaustive_complexes(4) + _random_corpus():
-            got = non_fg_locus(delta, context=ctx, method="both")
+            got = non_fg_locus(delta, method="both")
             full = brute_force_locus(delta, ctx, "both", prune=False)
             assert got.faces == full.faces
             assert got.maximal_faces == full.maximal_faces

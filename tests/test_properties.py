@@ -95,10 +95,10 @@ def test_method_agreement(delta):
     if ideal.is_unit:
         return
     if ideal.is_zero:
-        assert locus_combinatorial(delta, ctx).empty
+        assert locus_combinatorial(delta).empty
         return
     result = non_fg_locus(ideal, method="both")
-    comb = locus_combinatorial(delta, ctx)
+    comb = locus_combinatorial(delta)
     assert result.faces == comb.faces
 
 
@@ -162,8 +162,8 @@ def test_vertex_permutation_equivariance(case):
     if delta.to_ideal(ctx).is_unit:
         return
     moved = SimplicialComplex(delta.n, [{perm[v] for v in f} for f in delta.facets])
-    before = non_fg_locus(delta, context=ctx)
-    after = non_fg_locus(moved, context=ctx)
+    before = non_fg_locus(delta)
+    after = non_fg_locus(moved)
     assert set(after.maximal_faces) == {
         frozenset(perm[v] for v in f) for f in before.maximal_faces
     }
