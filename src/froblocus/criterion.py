@@ -24,10 +24,14 @@ every ``(I^{[2]} : m_j)`` and every partial intersection, and stops when
 none is left.  What it keeps are exactly the minimal colon generators
 outside R: a divisor of a monomial outside R lies outside R too, so
 minimalising only the candidates outside R leaves the same minimal ones
-outside R as minimalising all of them.  The criterion holds exactly when
-nothing is kept, since R lies in the colon; the witness is the first kept
-generator in descending lexicographic order, that is, the first minimal
-generator of the colon, in that order, that R does not contain.
+outside R as minimalising all of them.  Membership in R is the level
+rule: with ``A = supp w`` and ``B = {i : w_i >= 2}``, the lcm divides w
+exactly when the union U of the generator supports lies in A, and
+``m_j^2`` exactly when the support of ``m_j`` lies in B; two bitmasks
+decide it, not ``s + 1`` divisibility tests.  The criterion holds exactly
+when nothing is kept, since R lies in the colon; the witness is the first
+kept generator in descending lexicographic order, that is, the first
+minimal generator of the colon, in that order, that R does not contain.
 
 The oracle checks the same property degree by degree, from first
 principles: writing ``C_e = (I^{[p^e]} : I)``, the degree-e graded piece of
@@ -77,6 +81,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress
+from operator import gt
 
 from .monomials import (
     EXPONENT_LIMIT,
@@ -117,6 +123,22 @@ class OracleParams:
             raise ValueError("generation threshold k must be at least 1")
 
 
+def _in_right_side(ideal: MonomialIdeal):
+    """Membership in I^[2] + (lcm) for a squarefree I, by the level rule."""
+    n = ideal.context.n
+    bits, ones = [1 << i for i in range(n)], (1,) * n
+    supports = support_masks(ideal)
+    union = sum(compress(bits, map(any, zip(*ideal._vecs))))
+
+    def inside(w: tuple[int, ...]) -> bool:
+        if sum(compress(bits, w)) & union == union:
+            return True
+        missed = ~sum(compress(bits, map(gt, w, ones)))
+        return not all(map(missed.__and__, supports))
+
+    return inside
+
+
 def _criterion(ideal: MonomialIdeal) -> tuple[bool, Monomial | None]:
     """(verdict, offending monomial) for the degree-two criterion: the
     offender is the first minimal generator of (I^[2] : I) outside
@@ -129,10 +151,7 @@ def _criterion(ideal: MonomialIdeal) -> tuple[bool, Monomial | None]:
         raise ValueError("criterion requires a squarefree ideal")
     vecs = ideal._vecs
     squares = tuple(tuple(2 * e for e in v) for v in vecs)
-    full_lcm = vecs[0]
-    for v in vecs[1:]:
-        full_lcm = tuple(map(max, full_lcm, v))
-    missing = _colon_ideal_raw(squares, vecs, squares + (full_lcm,))
+    missing = _colon_ideal_raw(squares, vecs, _in_right_side(ideal))
     if not missing:
         return True, None
     return False, Monomial(ideal.context, missing[0])

@@ -143,7 +143,7 @@ def _ridge_vertices(h: Face, holders: list[Face], face: Face) -> Face:
     return h - face - {v for g in holders if len(h - g) == 1 for v in h - g}
 
 
-def _smallest_free_face(holders: list[Face], face: Face) -> Face:
+def _smallest_free_face(holders: list[Face], face: Face, ridged: list[Face]) -> Face:
     """The smallest free face by ``face_key`` of link F (a meet is its own closure).
 
     f inside h - F lies in no other link facet exactly when it meets each
@@ -152,12 +152,12 @@ def _smallest_free_face(holders: list[Face], face: Face) -> Face:
     fewer vertices than h - F.  Such a t shows a free ridge: every gap lies in
     h - F, so t misses some v in h - F.  Then h - v contains t, so it meets
     every gap and lies in no other facet of S(F); it contains F, so it lies in
-    no facet outside S(F) either.  So the size test alone keeps only facets
-    with a free ridge h - v, v outside F.
+    no facet outside S(F) either.  So the search runs only over ``ridged``,
+    the facets of S(F) = ``holders`` with a free ridge h - v, v outside F.
     """
     free = [
         frozenset(v for v in h if t >> v & 1)
-        for h in holders
+        for h in ridged
         for t in minimal_transversals(face_mask(h - g) for g in holders if g != h)
         if t.bit_count() < len(h - face)
     ]
@@ -189,9 +189,10 @@ def locus_combinatorial(source: MonomialIdeal | SimplicialComplex | ProblemInput
 
     def test(f: Face) -> Witness | None:
         holders = [h for h in delta.facets if f <= h]
-        if not any(_ridge_vertices(h, holders, f) for h in holders):
+        ridged = [h for h in holders if _ridge_vertices(h, holders, f)]
+        if not ridged:
             return None
-        return Witness("free_face", face=_smallest_free_face(holders, f))
+        return Witness("free_face", face=_smallest_free_face(holders, f, ridged))
 
     return LocusResult(problem.context, _maximal_locus_faces(delta, test), "combinatorial")
 

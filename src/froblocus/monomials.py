@@ -18,7 +18,9 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import filterfalse
+from operator import le, sub
+from typing import Callable, Iterable, Sequence
 
 MAX_VARIABLES = 30
 EXPONENT_LIMIT = 1 << 16
@@ -118,24 +120,17 @@ def _format(names: tuple[str, ...], exponents: tuple[int, ...]) -> str:
     return "*".join(parts) or "1"
 
 
-def _vec_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 def _minimalize(vecs: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """Prune generators divisible by another; return sorted canonical tuple.
 
     Canonical order is descending lexicographic on exponent vectors, so
     generators in the leading variables print first.
     """
-    items = sorted(set(vecs), key=lambda v: (sum(v), v))
+    items = sorted(sorted(set(vecs)), key=sum)  # by sum, then by v
     kept: list[tuple[int, ...]] = []
     for v in items:
         for u in kept:
-            if _vec_divides(u, v):
+            if all(map(le, u, v)):
                 break
         else:
             kept.append(v)
@@ -144,52 +139,52 @@ def _minimalize(vecs: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 
 def _outside(
-    vecs: Sequence[tuple[int, ...]], outside: tuple[tuple[int, ...], ...]
+    vecs: Sequence[tuple[int, ...]], inside: Callable[[tuple[int, ...]], bool] | None
 ) -> Sequence[tuple[int, ...]]:
-    """The vectors that no vector of ``outside`` divides, in order."""
-    if not outside:
+    """The vectors for which ``inside`` is false, in order."""
+    if inside is None:
         return vecs
-    # a list, not tuple() of a generator: built that way, the larger
+    # a list, not tuple() of an iterator: built that way, the larger
     # intersections of the criterion raised peak RSS by about 3 MB
-    return [v for v in vecs if not any(_vec_divides(u, v) for u in outside)]
+    return list(filterfalse(inside, vecs))
 
 
 def _intersect_raw(
     avecs: tuple[tuple[int, ...], ...],
     bvecs: tuple[tuple[int, ...], ...],
-    outside: tuple[tuple[int, ...], ...] = (),
+    inside: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     out = [tuple(map(max, a, b)) for a in avecs for b in bvecs]
-    return _minimalize(_outside(out, outside))
+    return _minimalize(_outside(out, inside))
 
 
 def _colon_mono_raw(
     vecs: tuple[tuple[int, ...], ...], f: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
-    out = [tuple(x - y if x > y else 0 for x, y in zip(v, f)) for v in vecs]
+    out = [tuple(map(sub, v, map(min, v, f))) for v in vecs]
     return _minimalize(out)
 
 
 def _colon_ideal_raw(
     avecs: tuple[tuple[int, ...], ...],
     bvecs: tuple[tuple[int, ...], ...],
-    outside: tuple[tuple[int, ...], ...] = (),
+    inside: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> tuple[tuple[int, ...], ...]:
-    """Canonical generators of (a : b) that no vector of ``outside`` divides.
+    """Canonical generators of (a : b) for which ``inside`` is false.
 
-    The colon is the intersection of the (a : f) over f in b.  The multiples
-    of ``outside`` form an ideal R, and an lcm with a factor in R lies in R,
-    so dropping the generators in R from each (a : f) and from each
-    intersection keeps exactly the minimal colon generators outside R; the
-    loop stops as soon as none is kept.
+    ``inside`` must be membership in some monomial ideal R; None stands for
+    the zero ideal.  The colon is the intersection of the (a : f) over f in
+    b.  An lcm with a factor in R lies in R, so dropping the generators in R
+    from each (a : f) and from each intersection keeps exactly the minimal
+    colon generators outside R; the loop stops as soon as none is kept.
     """
     if not bvecs:
         raise ValueError("colon by the zero ideal is undefined")
-    acc = _outside(_colon_mono_raw(avecs, bvecs[0]), outside)
+    acc = _outside(_colon_mono_raw(avecs, bvecs[0]), inside)
     for f in bvecs[1:]:
         if not acc:
             break
-        acc = _intersect_raw(acc, _outside(_colon_mono_raw(avecs, f), outside), outside)
+        acc = _intersect_raw(acc, _outside(_colon_mono_raw(avecs, f), inside), inside)
     return tuple(acc)
 
 

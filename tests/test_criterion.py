@@ -17,7 +17,7 @@ from froblocus import (
     is_finitely_generated,
     new_generators_vanish,
 )
-from froblocus.criterion import _criterion
+from froblocus.criterion import _criterion, _in_right_side
 from helpers import (
     _compositions,
     all_antichains,
@@ -115,6 +115,36 @@ class TestAgainstReference:
             assert got == reference_criterion(ideal), ideal
             failing += not got[0]
         assert failing > 0
+
+    def test_ideals_of_the_wide_workload_size(self):
+        # 12 variables, 20-35 generators, as in the benchmark's wide workload
+        rng = random.Random(1)
+        ctx = context(12)
+        checked = 0
+        while checked < 10:
+            ideal = ctx.ideal(
+                ctx.squarefree(rng.sample(range(12), rng.randint(2, 4)))
+                for _ in range(rng.randint(20, 60))
+            )
+            if 20 <= len(ideal) <= 35:
+                assert _criterion(ideal) == reference_criterion(ideal), ideal
+                checked += 1
+
+    def test_level_rule_is_divisibility_by_the_right_side(self):
+        # w lies in K^[2] + (lcm) iff one of its s + 1 generators divides w
+        rng = random.Random(2022)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            ideal = random_squarefree_ideal(rng, context(rng.randint(6, 12)), max_gens=8)
+            rhs = [tuple(2 * e for e in v) for v in ideal._vecs]
+            rhs.append(tuple(map(max, zip(*ideal._vecs))))
+            inside = _in_right_side(ideal)
+            for _ in range(50):
+                w = tuple(rng.randint(0, 3) for _ in range(ideal.context.n))
+                expected = any(all(x <= y for x, y in zip(u, w)) for u in rhs)
+                assert inside(w) == expected, (ideal, w)
+                verdicts[expected] += 1
+        assert min(verdicts.values()) > 1000, verdicts
 
 
 class TestFrobeniusColon:

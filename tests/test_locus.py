@@ -341,7 +341,7 @@ class TestManyFacets:
     def test_witness_search_without_free_face_raises(self):
         triangle = [face(1, 2), face(2, 3), face(1, 3)]
         with pytest.raises(RuntimeError, match="no free face"):
-            locus_module._smallest_free_face(triangle, frozenset())
+            locus_module._smallest_free_face(triangle, frozenset(), triangle)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_boundary_of_simplex(self, method):

@@ -246,7 +246,7 @@ class TestColon:
         with pytest.raises(ValueError):
             _colon_ideal_raw(((1, 0, 0),), ())
         with pytest.raises(ValueError):
-            _colon_ideal_raw(((1, 0, 0),), (), ((1, 0, 0),))
+            _colon_ideal_raw(((1, 0, 0),), (), lambda w: _divides((1, 0, 0), w))
 
     def test_generators_outside_an_ideal(self):
         # against the colon from first principles: w is in (a : b) when each
@@ -278,7 +278,8 @@ class TestColon:
             expected = tuple(
                 w for w in colon if not any(_divides(u, w) for u in outside)
             )
-            assert _colon_ideal_raw(a, b, outside) == expected, (a, b, outside)
+            inside = lambda w: any(_divides(u, w) for u in outside)  # noqa: E731
+            assert _colon_ideal_raw(a, b, inside) == expected, (a, b, outside)
             partial += 0 < len(expected) < len(colon)
         assert partial > 40
 
