@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any
 
 from .criterion import OracleParams, criterion_witness, degreewise_report
@@ -27,13 +26,7 @@ from .locus import (
 )
 from .monomials import Monomial, MonomialIdeal
 from .parsing import ParseError, ProblemInput, parse_face, parse_problem
-from .simplicial import face_monomial, face_prime, format_face
-
-
-@dataclass
-class Report:
-    data: dict[str, Any]
-    text: str
+from .simplicial import face_monomial, format_face
 
 
 class UsageError(Exception):
@@ -50,8 +43,6 @@ def _mono_json(m: Monomial) -> dict[str, Any]:
 
 
 def _ideal_json(ideal: MonomialIdeal) -> list[dict[str, Any]]:
-    if ideal.is_zero:
-        return []
     return [_mono_json(g) for g in ideal.generators]
 
 
@@ -75,7 +66,6 @@ def _locus_payload(problem: ProblemInput, result: LocusResult) -> dict:
         "igl": [
             {
                 "face": _face_json(f),
-                "prime": _ideal_json(face_prime(f, problem.context)),
                 "witness": [_witness_json(w) for w in result.witnesses.get(f, ())],
             }
             for f in result.faces
@@ -127,13 +117,11 @@ def _witness_text(w: dict[str, Any]) -> str:
     return f"implied by {_face_text(w['face'])}"
 
 
-def _run_locus(problem: ProblemInput, ns: argparse.Namespace) -> Report:
-    result = non_fg_locus(problem, method=ns.method)
-    data = _locus_payload(problem, result)
-    return Report(data, _render_locus_text(data))
+def _run_locus(problem: ProblemInput, ns: argparse.Namespace) -> dict[str, Any]:
+    return _locus_payload(problem, non_fg_locus(problem, method=ns.method))
 
 
-def _run_check(problem: ProblemInput, ns: argparse.Namespace) -> Report:
+def _run_check(problem: ProblemInput, ns: argparse.Namespace) -> dict[str, Any]:
     context = problem.context
     face = parse_face(ns.face, context.n)
     ideal = problem.ideal
@@ -141,53 +129,55 @@ def _run_check(problem: ProblemInput, ns: argparse.Namespace) -> Report:
     if colon.is_unit:
         raise ParseError(f"{format_face(face)} is not a face")
     offender = criterion_witness(colon)
-    verdict = offender is None
-    data = {
+    return {
         "vars": list(context.names),
         "ideal": _ideal_json(ideal),
         "face": _face_json(face),
         "colon_ideal": _ideal_json(colon),
-        "finitely_generated": verdict,
+        "finitely_generated": offender is None,
         "witness": None if offender is None else _mono_json(offender),
     }
+
+
+def _render_check_text(data: dict[str, Any]) -> str:
+    verdict = "finitely generated" if data["finitely_generated"] else "not finitely generated"
     lines = [
         "vars: " + ", ".join(data["vars"]),
         "face: " + _face_text(data["face"]),
         "colon ideal: " + _gen_list_text(data["colon_ideal"]),
-        "result: " + ("finitely generated" if verdict else "not finitely generated"),
+        "result: " + verdict,
     ]
-    if offender is not None:
-        lines.append(f"witness: {offender}")
-    return Report(data, "\n".join(lines))
+    if data["witness"] is not None:
+        lines.append("witness: " + data["witness"]["text"])
+    return "\n".join(lines)
 
 
-def _run_link(problem: ProblemInput, ns: argparse.Namespace) -> Report:
+def _run_link(problem: ProblemInput, ns: argparse.Namespace) -> dict[str, Any]:
     context = problem.context
     face = parse_face(ns.face, context.n)
     link = problem.complex.link(face)
-    data = {
+    return {
         "vars": list(context.names),
         "face": _face_json(face),
         "facets": [_face_json(f) for f in link.facets],
     }
+
+
+def _render_link_text(data: dict[str, Any]) -> str:
     facets = ", ".join(_face_text(f) for f in data["facets"]) or "(void)"
-    text = "\n".join(
-        [
-            "vars: " + ", ".join(data["vars"]),
-            "face: " + _face_text(data["face"]),
-            "link facets: " + facets,
-        ]
-    )
-    return Report(data, text)
+    lines = [
+        "vars: " + ", ".join(data["vars"]),
+        "face: " + _face_text(data["face"]),
+        "link facets: " + facets,
+    ]
+    return "\n".join(lines)
 
 
-def _run_oracle(problem: ProblemInput, ns: argparse.Namespace) -> Report:
+def _run_oracle(problem: ProblemInput, ns: argparse.Namespace) -> dict[str, Any]:
     ideal = problem.ideal
-    if ideal.is_zero:
-        raise ParseError("oracle needs a nonzero ideal")
     params = OracleParams(p=ns.char, e_max=ns.emax, k=ns.k)
     table = degreewise_report(ideal, params)
-    data = {
+    return {
         "vars": list(problem.context.names),
         "ideal": _ideal_json(ideal),
         "char": params.p,
@@ -195,51 +185,55 @@ def _run_oracle(problem: ProblemInput, ns: argparse.Namespace) -> Report:
         "table": [{"e": e, "vanishes": ok} for e, ok in table],
         "generated_up_to": all(ok for _, ok in table),
     }
+
+
+def _render_oracle_text(data: dict[str, Any]) -> str:
     lines = [
         "vars: " + ", ".join(data["vars"]),
         "I = " + _gen_list_text(data["ideal"]),
-        f"char: {params.p}",
+        f"char: {data['char']}",
     ]
     for row in data["table"]:
         verdict = "yes" if row["vanishes"] else "no"
         lines.append(f"degree {row['e']}: no new generators: {verdict}")
     lines.append(
         "generated up to degree "
-        f"{params.k}: {'yes' if data['generated_up_to'] else 'no'}"
+        f"{data['k']}: {'yes' if data['generated_up_to'] else 'no'}"
     )
-    return Report(data, "\n".join(lines))
+    return "\n".join(lines)
 
 
-def _run_nci(problem: ProblemInput, ns: argparse.Namespace) -> Report:
+def _run_nci(problem: ProblemInput, ns: argparse.Namespace) -> dict[str, Any]:
     ideal = problem.ideal
     nci = is_nci(ideal)
-    data: dict[str, Any] = {
+    return {
         "vars": list(problem.context.names),
         "ideal": _ideal_json(ideal),
         "is_nci": nci,
+        "locus": _locus_payload(problem, nci_locus(ideal)) if nci else None,
     }
+
+
+def _render_nci_text(data: dict[str, Any]) -> str:
     lines = [
         "vars: " + ", ".join(data["vars"]),
         "I = " + _gen_list_text(data["ideal"]),
-        "nearly complete intersection: " + ("yes" if nci else "no"),
+        "nearly complete intersection: " + ("yes" if data["is_nci"] else "no"),
     ]
-    if nci:
-        result = nci_locus(ideal)
-        data["locus"] = _locus_payload(problem, result)
-        lines.append("J = " + _gen_list_text(data["locus"]["j_ideal"]))
-        if result.empty:
+    locus = data["locus"]
+    if locus is not None:
+        lines.append("J = " + _gen_list_text(locus["j_ideal"]))
+        if locus["empty_locus"]:
             lines.append("locus: empty")
-    else:
-        data["locus"] = None
-    return Report(data, "\n".join(lines))
+    return "\n".join(lines)
 
 
 _RUNNERS = {
-    "locus": _run_locus,
-    "check": _run_check,
-    "link": _run_link,
-    "oracle": _run_oracle,
-    "nci": _run_nci,
+    "locus": (_run_locus, _render_locus_text),
+    "check": (_run_check, _render_check_text),
+    "link": (_run_link, _render_link_text),
+    "oracle": (_run_oracle, _render_oracle_text),
+    "nci": (_run_nci, _render_nci_text),
 }
 
 
@@ -295,9 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    payload, render_text = _RUNNERS[ns.command]
     try:
-        problem = parse_problem(_read_input(ns.input))
-        report = _RUNNERS[ns.command](problem, ns)
+        data = payload(parse_problem(_read_input(ns.input)), ns)
     except MethodDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -307,9 +301,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if ns.format == "json":
-            print(json.dumps(report.data, indent=2, sort_keys=True))
+            print(json.dumps(data, indent=2, sort_keys=True))
         else:
-            print(report.text)
+            print(render_text(data))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away; keep the interpreter's exit flush quiet too

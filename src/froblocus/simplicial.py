@@ -86,10 +86,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    def is_face(self, face: Iterable[int]) -> bool:
-        f = frozenset(face)
-        return any(f <= h for h in self.facets)
-
     def faces(self) -> tuple[Face, ...]:
         """All faces, empty face first, then by cardinality and lex order."""
         if self._faces is None:
@@ -110,7 +106,7 @@ class SimplicialComplex:
     def link(self, face: Iterable[int]) -> SimplicialComplex:
         """The link of a face, on the universe minus the face."""
         f = frozenset(face)
-        if not self.is_face(f):
+        if not any(f <= h for h in self.facets):
             raise ValueError(f"{format_face(f)} is not a face")
         new_facets = [h - f for h in self.facets if f <= h]
         return SimplicialComplex(self.n, new_facets, vertices=self.vertices - f)

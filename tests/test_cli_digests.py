@@ -20,7 +20,7 @@ import shlex
 import sys
 from pathlib import Path
 
-from froblocus.cli import main
+from froblocus.cli import _RUNNERS, main
 from helpers import exhaustive_complexes
 
 DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
@@ -58,21 +58,25 @@ def _problem_texts():
             yield f"n={ctx.n} {body}", head + body + "\n"
 
 
-def _run(argv: list[str], text: str) -> str:
-    """sha256 of the exit code and standard output of one in-process run."""
+def _run(argv: list[str], text: str) -> tuple[int, str]:
+    """Exit code and standard output of one in-process run."""
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
     try:
         code = main([*argv, "-"])
-        out = sys.stdout.getvalue()
+        return code, sys.stdout.getvalue()
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
+
+
+def _digest(argv: list[str], text: str) -> str:
+    code, out = _run(argv, text)
     return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
 
 
 def cli_digests() -> dict[str, str]:
     return {
-        f"{label} | {shlex.join(argv)}": _run(argv, text)
+        f"{label} | {shlex.join(argv)}": _digest(argv, text)
         for label, text in _problem_texts()
         for argv in COMMANDS
     }
@@ -84,6 +88,22 @@ def test_cli_bytes_unchanged():
     assert got.keys() == expected.keys()
     changed = [key for key in expected if got[key] != expected[key]]
     assert not changed, changed
+
+
+def test_text_is_rendered_from_the_json_payload():
+    # each command's text output is its renderer applied to the parsed JSON
+    # output of the same run; a failing run prints neither
+    commands = {tuple(a for a in argv if a not in ("--format", "json")) for argv in COMMANDS}
+    for _, text in _problem_texts():
+        for argv in sorted(commands):
+            code, out = _run([*argv, "--format", "text"], text)
+            json_code, json_out = _run([*argv, "--format", "json"], text)
+            assert json_code == code, (argv, text)
+            if code:
+                assert out == json_out == "", (argv, text)
+            else:
+                render_text = _RUNNERS[argv[0]][1]
+                assert out == render_text(json.loads(json_out)) + "\n", (argv, text)
 
 
 if __name__ == "__main__":
