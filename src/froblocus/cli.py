@@ -59,16 +59,11 @@ def _witness_json(w: Witness) -> dict[str, Any]:
     return out
 
 
-def _locus_payload(problem: ProblemInput, result: LocusResult) -> dict:
+def _locus_payload(result: LocusResult) -> dict:
     return {
-        "vars": list(problem.context.names),
-        "ideal": _ideal_json(problem.ideal),
         "igl": [
-            {
-                "face": _face_json(f),
-                "witness": [_witness_json(w) for w in result.witnesses.get(f, ())],
-            }
-            for f in result.faces
+            {"face": _face_json(f), "witness": [_witness_json(w) for w in result.maximal[f]]}
+            for f in result.maximal_faces
         ],
         "igl_maximal": [_face_json(f) for f in result.maximal_faces],
         "j_ideal": _ideal_json(result.defining_ideal),
@@ -86,9 +81,7 @@ def _render_locus_text(data: dict[str, Any]) -> str:
     if data["empty_locus"]:
         lines.append("locus: empty")
     else:
-        faces = ", ".join(_face_text(e["face"]) for e in data["igl"])
         maximal = ", ".join(_face_text(f) for f in data["igl_maximal"])
-        lines.append(f"IGL faces: {faces}")
         lines.append(f"IGL maximal faces: {maximal}")
         for entry in data["igl"]:
             for w in entry["witness"]:
@@ -112,13 +105,15 @@ def _face_text(face: list[int]) -> str:
 def _witness_text(w: dict[str, Any]) -> str:
     if w["kind"] == "colon_generator":
         return f"colon generator {w['monomial']['text']}"
-    if w["kind"] == "free_face":
-        return f"free face {_face_text(w['face'])}"
-    return f"implied by {_face_text(w['face'])}"
+    return f"free face {_face_text(w['face'])}"
 
 
 def _run_locus(problem: ProblemInput, ns: argparse.Namespace) -> dict[str, Any]:
-    return _locus_payload(problem, non_fg_locus(problem, method=ns.method))
+    return {
+        "vars": list(problem.context.names),
+        "ideal": _ideal_json(problem.ideal),
+        **_locus_payload(non_fg_locus(problem, method=ns.method)),
+    }
 
 
 def _run_check(problem: ProblemInput, ns: argparse.Namespace) -> dict[str, Any]:
@@ -210,7 +205,7 @@ def _run_nci(problem: ProblemInput, ns: argparse.Namespace) -> dict[str, Any]:
         "vars": list(problem.context.names),
         "ideal": _ideal_json(ideal),
         "is_nci": nci,
-        "locus": _locus_payload(problem, nci_locus(ideal)) if nci else None,
+        "locus": _locus_payload(nci_locus(ideal)) if nci else None,
     }
 
 

@@ -62,10 +62,10 @@ class MethodDisagreementError(RuntimeError):
 class Witness:
     """Why a face was accepted into the locus.
 
-    kind is one of ``colon_generator`` (a generator of (K^[2]:K) outside
-    K^[2] + (lcm)), ``free_face`` (the smallest free face of link F), or
-    ``implied_by`` (a non-maximal face, naming its maximal superface that
-    is largest by ``face_key``; membership is closed under taking subfaces).
+    kind is ``colon_generator`` (a generator of (K^[2]:K) outside
+    K^[2] + (lcm)) or ``free_face`` (the smallest free face of link F).
+    Only maximal faces carry witnesses: membership is closed under taking
+    subfaces.
     """
 
     kind: str
@@ -81,10 +81,8 @@ class LocusResult:
     route(s) that accepted it; an empty mapping is the empty locus.  The
     other fields are read-only views derived on first use: ``faces`` (the
     downward closure, canonically ordered), ``maximal_faces`` (canonically
-    ordered), ``defining_ideal`` (the intersection of the maximal faces'
-    primes; the unit ideal for an empty locus) and ``witnesses`` (a maximal
-    face's own witnesses; every other face is ``implied_by`` its maximal
-    superface largest by ``face_key``).
+    ordered) and ``defining_ideal`` (the intersection of the maximal faces'
+    primes; the unit ideal for an empty locus).
     """
 
     context: RingContext
@@ -106,18 +104,6 @@ class LocusResult:
     @cached_property
     def defining_ideal(self) -> MonomialIdeal:
         return nonface_ideal(self.context, self.maximal, range(self.context.n))
-
-    @cached_property
-    def witnesses(self) -> dict[Face, tuple[Witness, ...]]:
-        largest_first = self.maximal_faces[::-1]
-        out: dict[Face, tuple[Witness, ...]] = {}
-        for f in self.faces:
-            if f in self.maximal:
-                out[f] = self.maximal[f]
-            else:
-                g = next(g for g in largest_first if f < g)
-                out[f] = (Witness("implied_by", face=g),)
-        return out
 
 
 def _maximal_locus_faces(

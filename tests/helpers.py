@@ -137,16 +137,14 @@ def composition_generation_ideal(ideal: MonomialIdeal, p: int, e: int) -> Monomi
 
 
 def _face_loop(faces, test, prune: bool) -> dict:
-    """Accept faces per ``test``, largest first by face_key; with pruning,
-    subfaces of accepted faces are accepted unchecked and witnessed by the
-    first accepted superface (membership is closed under taking subfaces)."""
+    """Accept faces per ``test``, largest first by face_key, each mapped to
+    its witness; with pruning, subfaces of accepted faces are accepted
+    untested and mapped to None (membership is closed under taking subfaces)."""
     accepted: dict = {}
     for f in sorted(faces, key=face_key, reverse=True):
-        if prune:
-            implied = next((g for g in accepted if f < g), None)
-            if implied is not None:
-                accepted[f] = Witness("implied_by", face=implied)
-                continue
+        if prune and any(f < g for g in accepted):
+            accepted[f] = None
+            continue
         witness = test(f)
         if witness is not None:
             accepted[f] = witness
@@ -265,10 +263,11 @@ def brute_force_locus(
 ) -> BruteForceLocus:
     """Reference locus that tries every face of the complex.
 
-    With ``prune`` the result matches ``non_fg_locus`` exactly, witnesses
-    included; without it every face is tested, so every face carries its own
-    test witnesses.  Independent of froblocus.locus: J is the intersection
-    of the primes of every locus face, not only of the maximal ones.
+    ``witnesses`` maps each tested locus face to its routes' witnesses.  With
+    ``prune`` only the maximal faces are tested, so it matches
+    ``LocusResult.maximal`` exactly; without it every face is tested.
+    Independent of froblocus.locus: J is the intersection of the primes of
+    every locus face, not only of the maximal ones.
     """
     if delta.facets == (delta.vertices,):  # the full simplex: the zero ideal
         return BruteForceLocus((), (), ctx.unit_ideal(), method, {})
@@ -281,11 +280,9 @@ def brute_force_locus(
     defining = ctx.unit_ideal()
     for f in faces:
         defining = defining.intersection(face_prime(f, ctx))
-    witnesses = {}
-    for f in faces:
-        merged: list = []
-        for r in routes:
-            if r[f] not in merged:
-                merged.append(r[f])
-        witnesses[f] = tuple(merged)
+    witnesses = {
+        f: tuple(dict.fromkeys(r[f] for r in routes))
+        for f in faces
+        if routes[0][f] is not None
+    }
     return BruteForceLocus(faces, maximal, defining, method, witnesses)

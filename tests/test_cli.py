@@ -280,6 +280,24 @@ class TestCliSubcommands:
             assert f"method: {method}" in out
             assert "J = (x_1, x_2, x_3)" in out
 
+    def test_locus_lists_only_maximal_faces(self, capsys, tmp_path):
+        # facets 1..20 and 5..24 on 24 vertices: the locus is closed under
+        # subfaces, so its 2^16 faces are given by their maximal one
+        problem = tmp_path / "overlap.txt"
+        names = ", ".join(f"x{i}" for i in range(1, 25))
+        facets = " ".join(map(str, range(1, 21))) + "; " + " ".join(map(str, range(5, 25)))
+        problem.write_text(f"vars: {names}\nfacets: {facets}\n")
+        start = time.perf_counter()
+        code = main(["locus", "--format", "json", str(problem)])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(out.encode()) < 16_000
+        assert elapsed < 1.0
+        data = json.loads(out)
+        assert data["igl_maximal"] == [list(range(5, 21))]
+        assert [e["face"] for e in data["igl"]] == data["igl_maximal"]
+
     def test_empty_locus_output(self, capsys, tmp_path):
         problem = tmp_path / "ci.txt"
         problem.write_text("vars: x, y, z, w\nideal: x*y, z*w\n")
@@ -393,14 +411,15 @@ class TestCliErrors:
         import subprocess
         import sys
 
-        # about 370 KB of JSON, far more than a pipe buffer holds
+        # the edge ideal of K_26: about 115 KB of JSON, more than a pipe
+        # buffer holds; the combinatorial route answers it at once
         problem = tmp_path / "big.txt"
-        names = ", ".join(f"x{i}" for i in range(1, 15))
-        problem.write_text(
-            f"vars: {names}\nfacets: 1 2 3 4 5 6 7 8 9 10 11 12; 3 4 5 6 7 8 9 10 11 12 13 14\n"
-        )
+        names = [f"x{i}" for i in range(1, 27)]
+        edges = [f"{a}*{b}" for i, a in enumerate(names) for b in names[i + 1:]]
+        problem.write_text(f"vars: {', '.join(names)}\nideal: {', '.join(edges)}\n")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "froblocus.cli", "locus", "--format", "json", str(problem)],
+            [sys.executable, "-m", "froblocus.cli", "locus", "--format", "json",
+             "--method", "combinatorial", str(problem)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )

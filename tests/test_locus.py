@@ -264,22 +264,8 @@ class TestResultInvariants:
         _, _, ideal = example_one
         result = non_fg_locus(ideal, method="both")
         for f in result.maximal_faces:
-            kinds = [w.kind for w in result.witnesses[f]]
+            kinds = [w.kind for w in result.maximal[f]]
             assert kinds == ["colon_generator", "free_face"]
-        for f in result.faces:
-            if f in result.maximal_faces:
-                continue
-            supers = [g for g in result.maximal_faces if f < g]
-            assert result.witnesses[f] == (
-                Witness("implied_by", face=max(supers, key=face_key)),
-            )
-
-    def test_pruned_witnesses_are_marked(self, example_one):
-        _, _, ideal = example_one
-        result = locus_algebraic(ideal)
-        empty_face_witness = result.witnesses[frozenset()][0]
-        assert empty_face_witness.kind == "implied_by"
-        assert empty_face_witness.face == face(3)
 
     def test_method_tags(self, example_one):
         _, delta, ideal = example_one
@@ -397,7 +383,7 @@ class TestManyFacets:
         assert result.maximal_faces == (frozenset(),)
         assert result.defining_ideal == ctx.ideal(ctx.squarefree([i]) for i in range(n))
         if method == "combinatorial":
-            assert result.witnesses[frozenset()] == (Witness("free_face", face=face(1)),)
+            assert result.maximal[frozenset()] == (Witness("free_face", face=face(1)),)
             assert elapsed < 1.0
 
 
@@ -421,7 +407,7 @@ class TestBruteForceOracle:
             assert got.faces == expected.faces, (delta, method)
             assert got.maximal_faces == expected.maximal_faces, (delta, method)
             assert got.defining_ideal == expected.defining_ideal, (delta, method)
-            assert got.witnesses == expected.witnesses, (delta, method)
+            assert got.maximal == expected.witnesses, (delta, method)
 
     def test_exhaustive_small_complexes(self):
         for ctx, delta in exhaustive_complexes(5):
@@ -438,8 +424,9 @@ class TestBruteForceOracle:
             assert got.faces == full.faces
             assert got.maximal_faces == full.maximal_faces
             assert got.defining_ideal == full.defining_ideal
+            assert full.witnesses.keys() == set(full.faces)
             for f in got.maximal_faces:
-                assert got.witnesses[f] == full.witnesses[f]
+                assert got.maximal[f] == full.witnesses[f]
 
 
 class TestNci:
