@@ -139,12 +139,12 @@ def _in_right_side(ideal: MonomialIdeal):
     return inside
 
 
-def _criterion(ideal: MonomialIdeal) -> tuple[bool, Monomial | None]:
-    """(verdict, offending monomial) for the degree-two criterion: the
-    offender is the first minimal generator of (I^[2] : I) outside
-    I^[2] + (lcm), in descending lex order (see the module docstring)."""
+def _criterion(ideal: MonomialIdeal) -> Monomial | None:
+    """The degree-two criterion: None when it holds, else its witness, the
+    first minimal generator of (I^[2] : I) outside I^[2] + (lcm), in
+    descending lex order (see the module docstring)."""
     if ideal.is_zero:
-        return True, None
+        return None
     if ideal.is_unit:
         raise ValueError("criterion undefined for the unit ideal")
     if not ideal.is_squarefree:
@@ -152,9 +152,7 @@ def _criterion(ideal: MonomialIdeal) -> tuple[bool, Monomial | None]:
     vecs = ideal._vecs
     squares = tuple(tuple(2 * e for e in v) for v in vecs)
     missing = _colon_ideal_raw(squares, vecs, _in_right_side(ideal))
-    if not missing:
-        return True, None
-    return False, Monomial(ideal.context, missing[0])
+    return Monomial(ideal.context, missing[0]) if missing else None
 
 
 def is_finitely_generated(ideal: MonomialIdeal) -> bool:
@@ -163,15 +161,13 @@ def is_finitely_generated(ideal: MonomialIdeal) -> bool:
 
     The zero ideal passes trivially; the unit ideal is rejected.
     """
-    verdict, _ = _criterion(ideal)
-    return verdict
+    return _criterion(ideal) is None
 
 
 def criterion_witness(ideal: MonomialIdeal) -> Monomial | None:
     """The first minimal generator of (I^[2] : I), in descending lex order,
     that I^[2] + (lcm) does not contain; None when the criterion holds."""
-    _, witness = _criterion(ideal)
-    return witness
+    return _criterion(ideal)
 
 
 def _require_oracle_input(ideal: MonomialIdeal) -> None:

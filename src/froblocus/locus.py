@@ -17,11 +17,12 @@ exactly when it has a free ridge (grow the face inside its only facet), and
 that is, with v in h - g for some g in S(F).  So every maximal locus face is
 a meet h & g of two facets; both routes test only these meets, largest
 first, skipping any inside one already accepted.  The algebraic route runs
-the criterion on (I : x_F); the combinatorial one looks for a free ridge of
-link F (a meet is its own closure: cl F lies in h & g = F), in O(k^2 n) for
-k facets: h - v lies in g exactly when h - g = {v}.  The zero ideal's full
-simplex has one facet and no meet, so its locus is empty.  A
-``LocusResult`` stores only the maximal faces, with their witnesses.
+the criterion on (I : x_F); the combinatorial one searches link F (a meet is
+its own closure: cl F lies in h & g = F) for its smallest free face, only in
+the facets with a free ridge, found in O(k^2 n) for k facets: h - v lies in g
+exactly when h - g = {v}.  The zero ideal's full simplex has one facet and
+no meet, so its locus is empty.  A ``LocusResult`` stores only the maximal
+faces, with their witnesses.
 """
 
 from __future__ import annotations
@@ -123,14 +124,9 @@ def _maximal_locus_faces(
     return accepted
 
 
-def _ridge_vertices(h: Face, holders: list[Face], face: Face) -> Face:
-    """The v in h - F for which h - v is a free ridge of link F (a meet is its
-    own closure), for h in S(F): those not the whole gap h - g of any g in S(F)."""
-    return h - face - {v for g in holders if len(h - g) == 1 for v in h - g}
-
-
-def _smallest_free_face(holders: list[Face], face: Face, ridged: list[Face]) -> Face:
-    """The smallest free face by ``face_key`` of link F (a meet is its own closure).
+def _smallest_free_face(holders: list[Face], face: Face) -> Face | None:
+    """The smallest free face by ``face_key`` of link F (a meet is its own
+    closure), for the facets S(F) = ``holders``; None when it has none.
 
     f inside h - F lies in no other link facet exactly when it meets each
     gap h - g (g in S(F), g != h), and is free unless it is all of h - F;
@@ -138,18 +134,17 @@ def _smallest_free_face(holders: list[Face], face: Face, ridged: list[Face]) -> 
     fewer vertices than h - F.  Such a t shows a free ridge: every gap lies in
     h - F, so t misses some v in h - F.  Then h - v contains t, so it meets
     every gap and lies in no other facet of S(F); it contains F, so it lies in
-    no facet outside S(F) either.  So the search runs only over ``ridged``,
-    the facets of S(F) = ``holders`` with a free ridge h - v, v outside F.
+    no facet outside S(F) either.  So the search skips every h with no free
+    ridge h - v, v outside F: each such v is the whole gap h - g of some g.
     """
     free = [
         frozenset(v for v in h if t >> v & 1)
-        for h in ridged
+        for h in holders
+        if h - face - {v for g in holders if len(h - g) == 1 for v in h - g}
         for t in minimal_transversals(face_mask(h - g) for g in holders if g != h)
         if t.bit_count() < len(h - face)
     ]
-    if not free:
-        raise RuntimeError(f"no free face in the link of {format_face(face)}")
-    return min(free, key=face_key)
+    return min(free, key=face_key, default=None)
 
 
 def locus_algebraic(source: MonomialIdeal | SimplicialComplex | ProblemInput) -> LocusResult:
@@ -159,26 +154,20 @@ def locus_algebraic(source: MonomialIdeal | SimplicialComplex | ProblemInput) ->
     ideal = problem.ideal
 
     def test(f: Face) -> Witness | None:
-        colon = ideal.colon(face_monomial(f, context))
-        verdict, offender = _criterion(colon)
-        if verdict:
-            return None
-        return Witness("colon_generator", monomial=offender)
+        offender = _criterion(ideal.colon(face_monomial(f, context)))
+        return None if offender is None else Witness("colon_generator", monomial=offender)
 
     return LocusResult(context, _maximal_locus_faces(problem.complex, test), "algebraic")
 
 
 def locus_combinatorial(source: MonomialIdeal | SimplicialComplex | ProblemInput) -> LocusResult:
-    """Compute the locus by looking for free ridges among the facets."""
+    """Compute the locus by searching the facet meets' links for free faces."""
     problem = ProblemInput.of(source)
     delta = problem.complex
 
     def test(f: Face) -> Witness | None:
-        holders = [h for h in delta.facets if f <= h]
-        ridged = [h for h in holders if _ridge_vertices(h, holders, f)]
-        if not ridged:
-            return None
-        return Witness("free_face", face=_smallest_free_face(holders, f, ridged))
+        free = _smallest_free_face([h for h in delta.facets if f <= h], f)
+        return None if free is None else Witness("free_face", face=free)
 
     return LocusResult(problem.context, _maximal_locus_faces(delta, test), "combinatorial")
 
@@ -252,8 +241,8 @@ def nci_locus(ideal: MonomialIdeal) -> LocusResult:
     if not is_nci(ideal):
         raise ValueError("ideal is not a nearly complete intersection")
     context = ideal.context
-    verdict, offender = _criterion(ideal)
-    if verdict:
+    offender = _criterion(ideal)
+    if offender is None:
         return LocusResult(context, {}, "nci")
     union = reduce(or_, support_masks(ideal))
     base = frozenset(i for i in range(context.n) if not union >> i & 1)

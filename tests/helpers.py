@@ -162,12 +162,12 @@ def core(delta: SimplicialComplex) -> SimplicialComplex:
 
 
 def reference_criterion(ideal: MonomialIdeal):
-    """(verdict, witness) of the degree-two criterion from the whole colon
-    (I^[2] : I) and the whole sum I^[2] + (lcm of the generators): the
-    witness is the first colon generator, in descending lex order, that the
-    sum does not contain.  The reference for ``_criterion``."""
+    """The degree-two criterion from the whole colon (I^[2] : I) and the
+    whole sum I^[2] + (lcm of the generators): None when they are equal,
+    else the witness, the first colon generator, in descending lex order,
+    that the sum does not contain.  The reference for ``_criterion``."""
     if ideal.is_zero:
-        return True, None
+        return None
     if ideal.is_unit or not ideal.is_squarefree:
         raise ValueError("criterion needs a proper squarefree ideal")
     ctx = ideal.context
@@ -175,10 +175,10 @@ def reference_criterion(ideal: MonomialIdeal):
     lcm = ctx.monomial(map(max, zip(*(g.exponents for g in ideal.generators))))
     colon, rhs = squares.colon(ideal), squares + ctx.ideal([lcm])
     if colon == rhs:
-        return True, None
+        return None
     for g in colon.generators:
         if rhs + ctx.ideal([g]) != rhs:
-            return False, g
+            return g
     raise AssertionError(f"I^[2] + (lcm) is not inside (I^[2] : I) for {ideal}")
 
 
@@ -235,8 +235,8 @@ def _route(delta: SimplicialComplex, ctx: RingContext, route: str, prune: bool) 
         ideal = delta.to_ideal(ctx)
 
         def test(f):
-            verdict, offender = _criterion_of(ideal.colon(face_monomial(f, ctx)))
-            return None if verdict else Witness("colon_generator", monomial=offender)
+            offender = _criterion_of(ideal.colon(face_monomial(f, ctx)))
+            return None if offender is None else Witness("colon_generator", monomial=offender)
 
     else:
 

@@ -103,7 +103,7 @@ class TestAgainstReference:
                 colon = ideal.colon(face_monomial(f, ctx))
                 got = _criterion(colon)
                 assert got == reference_criterion(colon), (ideal, f)
-                failing += not got[0]
+                failing += got is not None
         assert failing > 0
 
     def test_random_ideals(self):
@@ -113,7 +113,7 @@ class TestAgainstReference:
             ideal = random_squarefree_ideal(rng, context(rng.randint(6, 9)), max_gens=8)
             got = _criterion(ideal)
             assert got == reference_criterion(ideal), ideal
-            failing += not got[0]
+            failing += got is not None
         assert failing > 0
 
     def test_ideals_of_the_wide_workload_size(self):

@@ -314,20 +314,47 @@ class TestManyFacets:
     combinatorial one builds no link."""
 
     def test_combinatorial_route_builds_no_link(self, monkeypatch):
+        # nor runs the criterion: the two routes cross-check each other
         def refuse(*args, **kwargs):
-            raise AssertionError("the combinatorial route enumerated faces")
+            raise AssertionError("the combinatorial route left the facets")
 
         for name in ("link", "faces", "free_faces"):
             monkeypatch.setattr(SimplicialComplex, name, refuse)
+        monkeypatch.setattr(locus_module, "_criterion", refuse)
         delta = SimplicialComplex(4, [face(1, 2, 3), face(3, 4)])
         assert locus_combinatorial(delta).maximal == {
             face(3): (Witness("free_face", face=face(1)),)
         }
 
+    def test_algebraic_route_searches_no_free_face(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the algebraic route searched for a free face")
+
+        monkeypatch.setattr(locus_module, "_smallest_free_face", refuse)
+        delta = SimplicialComplex(4, [face(1, 2, 3), face(3, 4)])
+        assert locus_algebraic(delta).maximal_faces == (face(3),)
+
+    def test_transversals_only_in_facets_with_a_free_ridge(self, monkeypatch):
+        # the boundary of the 10-simplex has no free ridge; in {123, 126, 345}
+        # the meet {1, 2} has none, and {3} has one in each of its facets
+        calls = []
+        transversals = locus_module.minimal_transversals
+
+        def counting(edges):
+            calls.append(edges)
+            return transversals(edges)
+
+        monkeypatch.setattr(locus_module, "minimal_transversals", counting)
+        boundary = SimplicialComplex(11, [set(range(11)) - {v} for v in range(11)])
+        assert locus_combinatorial(boundary).empty
+        assert len(calls) == 0
+        readme = SimplicialComplex(6, [face(1, 2, 3), face(1, 2, 6), face(3, 4, 5)])
+        assert locus_combinatorial(readme).maximal_faces == (face(3),)
+        assert len(calls) == 2
+
     def test_witness_search_without_free_face_raises(self):
         triangle = [face(1, 2), face(2, 3), face(1, 3)]
-        with pytest.raises(RuntimeError, match="no free face"):
-            locus_module._smallest_free_face(triangle, frozenset(), triangle)
+        assert locus_module._smallest_free_face(triangle, frozenset()) is None
 
     @pytest.mark.parametrize("method", METHODS)
     def test_boundary_of_simplex(self, method):
@@ -485,8 +512,8 @@ class TestNci:
             return False
         ctx = ideal.context
         result = nci_locus(ideal)
-        verdict, offender = reference_criterion(ideal)
-        if verdict:
+        offender = reference_criterion(ideal)
+        if offender is None:
             assert result.empty and result.faces == (), ideal
             assert result.defining_ideal == ctx.unit_ideal()
             return True
