@@ -20,7 +20,6 @@ from .criterion import (
 from .locus import (
     LocusResult,
     MethodDisagreementError,
-    Witness,
     is_nci,
     locus_algebraic,
     locus_combinatorial,
@@ -63,7 +62,6 @@ __all__ = [
     "ProblemInput",
     "RingContext",
     "SimplicialComplex",
-    "Witness",
     "criterion_witness",
     "degree_generation_ideal",
     "degreewise_report",

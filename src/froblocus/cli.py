@@ -19,7 +19,6 @@ from .locus import (
     METHODS,
     LocusResult,
     MethodDisagreementError,
-    Witness,
     is_nci,
     nci_locus,
     non_fg_locus,
@@ -50,13 +49,10 @@ def _face_json(face: frozenset[int]) -> list[int]:
     return [v + 1 for v in sorted(face)]
 
 
-def _witness_json(w: Witness) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": w.kind}
-    if w.monomial is not None:
-        out["monomial"] = _mono_json(w.monomial)
-    if w.face is not None:
-        out["face"] = _face_json(w.face)
-    return out
+def _witness_json(w: Monomial | frozenset[int]) -> dict[str, Any]:
+    if isinstance(w, Monomial):
+        return {"kind": "colon_generator", "monomial": _mono_json(w)}
+    return {"kind": "free_face", "face": _face_json(w)}
 
 
 def _locus_payload(result: LocusResult) -> dict:

@@ -60,34 +60,22 @@ class MethodDisagreementError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Why a face was accepted into the locus.
-
-    kind is ``colon_generator`` (a generator of (K^[2]:K) outside
-    K^[2] + (lcm)) or ``free_face`` (the smallest free face of link F).
-    Only maximal faces carry witnesses: membership is closed under taking
-    subfaces.
-    """
-
-    kind: str
-    monomial: Monomial | None = None
-    face: Face | None = None
-
-
-@dataclass(frozen=True)
 class LocusResult:
     """The non-finitely-generated locus, stored as its maximal faces.
 
-    ``maximal`` maps each maximal face of the locus to the witnesses of the
-    route(s) that accepted it; an empty mapping is the empty locus.  The
-    other fields are read-only views derived on first use: ``faces`` (the
-    downward closure, canonically ordered), ``maximal_faces`` (canonically
-    ordered) and ``defining_ideal`` (the intersection of the maximal faces'
-    primes; the unit ideal for an empty locus).
+    ``maximal`` maps each maximal face F of the locus to the witnesses of
+    the route(s) that accepted it: first the colon generator ``Monomial``
+    (algebraic), then the smallest free ``Face`` of link F (combinatorial).
+    Only maximal faces carry witnesses, as membership is closed under taking
+    subfaces; an empty mapping is the empty locus.  The other fields are
+    read-only views derived on first use: ``faces`` (the downward closure,
+    canonically ordered), ``maximal_faces`` (canonically ordered) and
+    ``defining_ideal`` (the intersection of the maximal faces' primes; the
+    unit ideal for an empty locus).
     """
 
     context: RingContext
-    maximal: dict[Face, tuple[Witness, ...]]
+    maximal: dict[Face, tuple[Monomial | Face, ...]]
     method: str
 
     @property
@@ -109,12 +97,12 @@ class LocusResult:
 
 def _maximal_locus_faces(
     delta: SimplicialComplex, test
-) -> dict[Face, tuple[Witness, ...]]:
+) -> dict[Face, tuple[Monomial | Face, ...]]:
     """The maximal faces accepted by ``test`` (a locus membership test), with
     their witnesses: meets of two facets, largest first, skipping any meet
     inside an accepted face."""
     meets = {h & g for h, g in combinations(delta.facets, 2)}
-    accepted: dict[Face, tuple[Witness, ...]] = {}
+    accepted: dict[Face, tuple[Monomial | Face, ...]] = {}
     for f in sorted(meets, key=face_key, reverse=True):
         if any(f < g for g in accepted):
             continue
@@ -153,9 +141,8 @@ def locus_algebraic(source: MonomialIdeal | SimplicialComplex | ProblemInput) ->
     context = problem.context
     ideal = problem.ideal
 
-    def test(f: Face) -> Witness | None:
-        offender = _criterion(ideal.colon(face_monomial(f, context)))
-        return None if offender is None else Witness("colon_generator", monomial=offender)
+    def test(f: Face) -> Monomial | None:
+        return _criterion(ideal.colon(face_monomial(f, context)))
 
     return LocusResult(context, _maximal_locus_faces(problem.complex, test), "algebraic")
 
@@ -165,9 +152,8 @@ def locus_combinatorial(source: MonomialIdeal | SimplicialComplex | ProblemInput
     problem = ProblemInput.of(source)
     delta = problem.complex
 
-    def test(f: Face) -> Witness | None:
-        free = _smallest_free_face([h for h in delta.facets if f <= h], f)
-        return None if free is None else Witness("free_face", face=free)
+    def test(f: Face) -> Face | None:
+        return _smallest_free_face([h for h in delta.facets if f <= h], f)
 
     return LocusResult(problem.context, _maximal_locus_faces(delta, test), "combinatorial")
 
@@ -246,6 +232,4 @@ def nci_locus(ideal: MonomialIdeal) -> LocusResult:
         return LocusResult(context, {}, "nci")
     union = reduce(or_, support_masks(ideal))
     base = frozenset(i for i in range(context.n) if not union >> i & 1)
-    return LocusResult(
-        context, {base: (Witness("colon_generator", monomial=offender),)}, "nci"
-    )
+    return LocusResult(context, {base: (offender,)}, "nci")

@@ -14,6 +14,7 @@ face) are distinct representable states.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable
 
 from .monomials import (
@@ -54,7 +55,7 @@ def face_prime(face: Face, context: RingContext) -> MonomialIdeal:
 class SimplicialComplex:
     """A simplicial complex given by its facets (maximal faces)."""
 
-    __slots__ = ("n", "vertices", "facets", "_faces")
+    __slots__ = ("n", "vertices", "facets")
 
     def __init__(
         self,
@@ -80,7 +81,6 @@ class SimplicialComplex:
             f for f in set(raw) if not any(f < g for g in raw)
         ]
         self.facets = tuple(sorted(maximal, key=face_key))
-        self._faces: tuple[Face, ...] | None = None
 
     @property
     def is_void(self) -> bool:
@@ -88,20 +88,11 @@ class SimplicialComplex:
 
     def faces(self) -> tuple[Face, ...]:
         """All faces, empty face first, then by cardinality and lex order."""
-        if self._faces is None:
-            seen: set[Face] = set()
-            stack = list(self.facets)
-            while stack:
-                f = stack.pop()
-                if f in seen:
-                    continue
-                seen.add(f)
-                for v in f:
-                    g = f - {v}
-                    if g not in seen:
-                        stack.append(g)
-            self._faces = tuple(sorted(seen, key=face_key))
-        return self._faces
+        faces = {
+            frozenset(c) for h in self.facets for k in range(len(h) + 1)
+            for c in combinations(h, k)
+        }
+        return tuple(sorted(faces, key=face_key))
 
     def link(self, face: Iterable[int]) -> SimplicialComplex:
         """The link of a face, on the universe minus the face."""

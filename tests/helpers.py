@@ -11,7 +11,6 @@ from froblocus import (
     MonomialIdeal,
     RingContext,
     SimplicialComplex,
-    Witness,
     face_key,
     face_monomial,
     face_prime,
@@ -235,14 +234,13 @@ def _route(delta: SimplicialComplex, ctx: RingContext, route: str, prune: bool) 
         ideal = delta.to_ideal(ctx)
 
         def test(f):
-            offender = _criterion_of(ideal.colon(face_monomial(f, ctx)))
-            return None if offender is None else Witness("colon_generator", monomial=offender)
+            return _criterion_of(ideal.colon(face_monomial(f, ctx)))
 
     else:
 
         def test(f):
             free = core(delta.link(f)).free_faces()
-            return Witness("free_face", face=free[0]) if free else None
+            return free[0] if free else None
 
     return _face_loop(delta.faces(), test, prune)
 

@@ -108,6 +108,10 @@ class TestProblemFiles:
                 parse_problem(text)
             assert str(info.value) == message, text
 
+    def test_no_variable_names(self):
+        with pytest.raises(ParseError, match="^no variable names given$"):
+            parse_problem("vars: ,\nideal: x")
+
     def test_huge_exponent(self):
         # past 4,300 digits int() refuses the text; the digits are not shown
         with pytest.raises(ParseError, match="^exponent of 5000 digits exceeds limit 65536$"):

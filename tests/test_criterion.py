@@ -168,6 +168,12 @@ class TestFrobeniusColon:
         with pytest.raises(ValueError):
             frobenius_colon(ctx3.unit_ideal(), 2, 1)
 
+    def test_characteristic_and_degree_checked(self, path_ideal):
+        with pytest.raises(ValueError, match="^characteristic must be at least 2$"):
+            frobenius_colon(path_ideal, 1, 2)
+        with pytest.raises(ValueError, match="^Frobenius degree must be at least 1$"):
+            frobenius_colon(path_ideal, 2, 0)
+
 
 class TestLevelKernel:
     """frobenius_colon against the exponent-tuple colon I^[q].colon(I)."""
@@ -323,6 +329,10 @@ class TestVanishing:
     def test_principal(self):
         ctx = context(2)
         assert new_generators_vanish(ideal_of(ctx, (1,)), 2, 2)
+
+    def test_degree_one_rejected(self, path_ideal):
+        with pytest.raises(ValueError, match="^generation ideals start at degree 2$"):
+            new_generators_vanish(path_ideal, 2, 1)
 
 
 class TestGeneratedUpTo:

@@ -9,6 +9,7 @@ from froblocus import (
     ContextMismatchError,
     ExponentLimitError,
     Monomial,
+    MonomialIdeal,
     RingContext,
     SimplicialComplex,
     frobenius_colon,
@@ -88,6 +89,18 @@ class TestMonomial:
         with pytest.raises(ValueError, match="out of range"):
             ctx.squarefree([0, -1])
         assert ctx.squarefree([0, 1]) == mono(ctx, 1, 1)
+
+    def test_wrong_length_rejected(self, ctx3):
+        with pytest.raises(ValueError, match="^expected 3 exponents, got 1$"):
+            Monomial(ctx3, (1,))
+
+    def test_negative_exponent_rejected(self, ctx3):
+        with pytest.raises(ValueError, match="^exponents must be non-negative$"):
+            Monomial(ctx3, (1, -1, 0))
+
+    def test_ideal_of_non_monomials_rejected(self, ctx3):
+        with pytest.raises(TypeError, match="^expected Monomial, got int$"):
+            MonomialIdeal(ctx3, [1])
 
 
 class TestCanonicalForm:
@@ -295,6 +308,10 @@ class TestBracketPower:
         ideal = ideal_of(ctx3, (1, 2), (2, 3))
         assert ideal.bracket(1) == ideal
         assert ideal_of(ctx3, (1,)).bracket(8) == ctx3.ideal([mono(ctx3, 8, 0, 0)])
+
+    def test_zero_power_rejected(self, ctx3):
+        with pytest.raises(ValueError, match="^bracket power requires q >= 1$"):
+            ideal_of(ctx3, (1, 2)).bracket(0)
 
     def test_overflow(self, ctx3):
         with pytest.raises(ExponentLimitError):

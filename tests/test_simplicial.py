@@ -32,6 +32,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimplicialComplex(3, [face(1, 2)], vertices={0})
 
+    def test_no_vertex_slot_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one vertex slot$"):
+            SimplicialComplex(0)
+
 
 class TestFaces:
     def test_single_edge(self):
@@ -139,6 +143,11 @@ class TestStanleyCorrespondence:
         ctx = context(3)
         delta = SimplicialComplex(3, [face(1, 2)])
         assert delta.to_ideal(ctx) == ideal_of(ctx, (3,))
+
+    def test_to_ideal_context_size_checked(self):
+        delta = SimplicialComplex(3, [face(1, 2)])
+        with pytest.raises(ValueError, match="^context has 2 variables, complex expects 3$"):
+            delta.to_ideal(context(2))
 
 
 class TestLink:
