@@ -166,13 +166,12 @@ def _render_link_text(data: dict[str, Any]) -> str:
 
 def _run_oracle(problem: ProblemInput, ns: argparse.Namespace) -> dict[str, Any]:
     ideal = problem.ideal
-    params = OracleParams(p=ns.char, e_max=ns.emax, k=ns.k)
+    params = OracleParams(p=ns.char, e_max=ns.emax)
     table = degreewise_report(ideal, params)
     return {
         "vars": list(problem.context.names),
         "ideal": _ideal_json(ideal),
         "char": params.p,
-        "k": params.k,
         "table": [{"e": e, "vanishes": ok} for e, ok in table],
         "generated_up_to": all(ok for _, ok in table),
     }
@@ -187,10 +186,7 @@ def _render_oracle_text(data: dict[str, Any]) -> str:
     for row in data["table"]:
         verdict = "yes" if row["vanishes"] else "no"
         lines.append(f"degree {row['e']}: no new generators: {verdict}")
-    lines.append(
-        "generated up to degree "
-        f"{data['k']}: {'yes' if data['generated_up_to'] else 'no'}"
-    )
+    lines.append(f"generated up to degree 1: {'yes' if data['generated_up_to'] else 'no'}")
     return "\n".join(lines)
 
 
@@ -254,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_oracle)
     p_oracle.add_argument("--char", type=int, default=2)
     p_oracle.add_argument("--emax", type=int, default=3)
-    p_oracle.add_argument("--k", type=int, default=1)
 
     p_nci = sub.add_parser("nci", help="nearly-complete-intersection shortcut")
     common(p_nci)

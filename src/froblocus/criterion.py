@@ -91,6 +91,7 @@ from .monomials import (
     MonomialIdeal,
     _colon_ideal_raw,
     _minimalize,
+    check_exponents,
     minimal_masks,
     support_masks,
 )
@@ -98,29 +99,32 @@ from .monomials import (
 SUPPORTED_CHARACTERISTICS = (2, 3, 5)
 
 
+def _characteristic(p: int) -> int:
+    """p as an int, refused unless it is a supported characteristic."""
+    p = operator.index(p)
+    if p not in SUPPORTED_CHARACTERISTICS:
+        raise ValueError(f"characteristic must be one of {SUPPORTED_CHARACTERISTICS}")
+    return p
+
+
 @dataclass(frozen=True)
 class OracleParams:
-    """Knobs for the bounded degree-wise generation oracle.
-
-    p is the characteristic, e_max the highest Frobenius degree tested and
-    k the generation threshold: ``generated_up_to`` checks that every degree
-    in ``k < e <= e_max`` adds no new generators.  Small bounds are enforced
-    because the cost grows quickly with both p and e.
-    """
+    """Bounds of the degree-wise generation oracle: the characteristic p and
+    the highest Frobenius degree e_max.  ``generated_up_to`` checks that no
+    degree ``2 <= e <= e_max`` adds generators, that is, generation in degree
+    ``k = 1``, a constant.  The cost follows ``e_max^2 * |L|^2`` for the level
+    antichain L of the module docstring, whatever p; the bounds are input
+    guards."""
 
     p: int = 2
     e_max: int = 3
-    k: int = 1
+    k = 1
 
     def __post_init__(self) -> None:
-        for name in ("p", "e_max", "k"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.p not in SUPPORTED_CHARACTERISTICS:
-            raise ValueError(f"characteristic must be one of {SUPPORTED_CHARACTERISTICS}")
+        object.__setattr__(self, "p", _characteristic(self.p))
+        object.__setattr__(self, "e_max", operator.index(self.e_max))
         if not 2 <= self.e_max <= 4:
             raise ValueError("e_max must be between 2 and 4")
-        if self.k < 1:
-            raise ValueError("generation threshold k must be at least 1")
 
 
 def _in_right_side(ideal: MonomialIdeal):
@@ -170,15 +174,6 @@ def criterion_witness(ideal: MonomialIdeal) -> Monomial | None:
     return _criterion(ideal)
 
 
-def _require_oracle_input(ideal: MonomialIdeal) -> None:
-    if ideal.is_zero:
-        raise ValueError("oracle ideals must be nonzero")
-    if ideal.is_unit:
-        raise ValueError("oracle ideals must be proper")
-    if not ideal.is_squarefree:
-        raise ValueError("oracle requires a squarefree ideal")
-
-
 def _colon_levels(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Level vectors of the minimal generators of every (I^[q] : I), q >= 2.
 
@@ -202,11 +197,14 @@ def _frobenius_colons(
     ideal: MonomialIdeal, p: int, degrees: range
 ) -> dict[int, tuple[tuple[int, ...], ...]]:
     """Canonical generators of C_e = (I^[p^e] : I) for each e in degrees, from
-    one level antichain."""
-    _require_oracle_input(ideal)
-    p = operator.index(p)
-    if p < 2:
-        raise ValueError("characteristic must be at least 2")
+    one level antichain; every oracle entry point checks its input here."""
+    if ideal.is_zero:
+        raise ValueError("oracle ideals must be nonzero")
+    if ideal.is_unit:
+        raise ValueError("oracle ideals must be proper")
+    if not ideal.is_squarefree:
+        raise ValueError("oracle requires a squarefree ideal")
+    p = _characteristic(p)
     if degrees.start < 1:
         raise ValueError("Frobenius degree must be at least 1")
     # C_e is proper, so each generator has an exponent p^e - 1 or p^e; a
@@ -237,7 +235,9 @@ def _two_part_sum(
     base: tuple[tuple[int, ...], ...],
 ) -> tuple[tuple[int, ...], ...]:
     """Canonical generators of base + sum over 0 < a < e of C_a * C_{e-a}^[p^a],
-    where ``colons[a]`` holds the generators of C_a."""
+    where ``colons[a]`` holds the generators of C_a.  They pass the exponent
+    check every ideal passes, skipped when p^(e-1) + p^e, the largest exponent
+    a product can reach, is within the limit (base is I^[p^e] or empty)."""
     gens = list(base)
     for a in range(1, e):
         q = p**a
@@ -246,7 +246,10 @@ def _two_part_sum(
             for w in colons[e - a]
             for u in colons[a]
         )
-    return _minimalize(gens)
+    gens = _minimalize(gens)
+    if p ** (e - 1) + p**e > EXPONENT_LIMIT:
+        check_exponents(gens)
+    return gens
 
 
 def degree_generation_ideal(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
@@ -267,7 +270,7 @@ def _degree_verdicts(
     ideal: MonomialIdeal, p: int, degrees: range
 ) -> tuple[tuple[int, bool], ...]:
     """(e, C_e == I^[p^e] + generated part) for each e in degrees, computing
-    each C_a once for all of them; an empty range still checks the input."""
+    each C_a once for all of them."""
     if degrees.start < 2:
         raise ValueError("generation ideals start at degree 2")
     colons = _frobenius_colons(ideal, p, range(1, degrees.stop))
@@ -291,12 +294,12 @@ def new_generators_vanish(ideal: MonomialIdeal, p: int, e: int) -> bool:
 def degreewise_report(
     ideal: MonomialIdeal, params: OracleParams = OracleParams()
 ) -> tuple[tuple[int, bool], ...]:
-    """Per-degree oracle outcomes (e, vanishes) for k < e <= e_max."""
-    return _degree_verdicts(ideal, params.p, range(params.k + 1, params.e_max + 1))
+    """Per-degree oracle outcomes (e, vanishes) for 2 <= e <= e_max."""
+    return _degree_verdicts(ideal, params.p, range(2, params.e_max + 1))
 
 
 def generated_up_to(ideal: MonomialIdeal, params: OracleParams = OracleParams()) -> bool:
-    """Bounded verification that no degree above k contributes generators.
+    """Bounded verification that no degree above 1 contributes generators.
 
     This checks degrees up to params.e_max only; it is evidence, not proof.
     """

@@ -4,7 +4,7 @@ Every value is immutable and canonical at construction: a ``MonomialIdeal``
 stores its context, its unique minimal generating set as exponent tuples in
 descending lexicographic order, and their hash, and nothing else.  The
 arithmetic works on those tuples; ``generators`` builds ``Monomial`` objects
-from them only when it is read.  Every ideal passes ``_check_exponents``
+from them only when it is read.  Every ideal passes ``check_exponents``
 once when it is made, so no exponent above ``EXPONENT_LIMIT`` is stored.
 ``support_masks`` and ``squarefree_ideal`` convert between squarefree
 ideals and int bitmasks of generator supports (bit i for variable i), the
@@ -100,7 +100,7 @@ def _require_same_context(a: RingContext, b: RingContext) -> None:
 # Raw helpers operate on bare exponent tuples; they are the hot path for the
 # ideal arithmetic and deliberately avoid creating Monomial objects.
 
-def _check_exponents(vecs: tuple[tuple[int, ...], ...]) -> None:
+def check_exponents(vecs: tuple[tuple[int, ...], ...]) -> None:
     """Raise ExponentLimitError at the first exponent above EXPONENT_LIMIT,
     naming one past 64 bits by its bit length: str() refuses huge ints."""
     if vecs and max(map(max, vecs)) > EXPONENT_LIMIT:
@@ -240,7 +240,7 @@ class Monomial:
             )
         if min(exps) < 0:
             raise ValueError("exponents must be non-negative")
-        _check_exponents((exps,))
+        check_exponents((exps,))
         self.context = context
         self.exponents = exps
         self._hash = hash((context.names, exps))
@@ -279,7 +279,7 @@ class MonomialIdeal:
         self._finish(context, _minimalize(vecs))
 
     def _finish(self, context: RingContext, vecs: tuple[tuple[int, ...], ...]) -> None:
-        _check_exponents(vecs)
+        check_exponents(vecs)
         self.context = context
         self._vecs = vecs
         self._hash = hash((context.names, vecs))

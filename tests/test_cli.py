@@ -258,7 +258,7 @@ class TestCliSubcommands:
         "command, defaults",
         [
             ("locus", ["--method", "both", "--format", "text"]),
-            ("oracle", ["--char", "2", "--emax", "3", "--k", "1"]),
+            ("oracle", ["--char", "2", "--emax", "3"]),
             ("check", ["--face", ""]),
             ("link", ["--face", ""]),
         ],
@@ -371,6 +371,10 @@ class TestCliErrors:
 
     def test_bad_flag(self, capsys):
         assert main(["locus", "--method", "psychic"]) == 1
+        capsys.readouterr()
+        # the oracle tests every degree from 2 and has no threshold to set
+        assert main(["oracle", str(DATA / "ex1.txt"), "--k", "5"]) == 1
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --k 5\n")
 
     def test_parser_reused_after_usage_error(self, capsys):
         args = ["locus", "--method", "combinatorial", str(DATA / "ex1.txt")]

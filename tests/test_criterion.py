@@ -169,8 +169,17 @@ class TestFrobeniusColon:
             frobenius_colon(ctx3.unit_ideal(), 2, 1)
 
     def test_characteristic_and_degree_checked(self, path_ideal):
-        with pytest.raises(ValueError, match="^characteristic must be at least 2$"):
-            frobenius_colon(path_ideal, 1, 2)
+        # every oracle entry point refuses p by the rule of OracleParams
+        refused = (
+            lambda: frobenius_colon(path_ideal, 1, 2),
+            lambda: frobenius_colon(path_ideal, 4, 1),
+            lambda: degree_generation_ideal(path_ideal, 6, 2),
+            lambda: new_generators_vanish(path_ideal, 4, 2),
+            lambda: OracleParams(p=4),
+        )
+        for call in refused:
+            with pytest.raises(ValueError, match=r"^characteristic must be one of \(2, 3, 5\)$"):
+                call()
         with pytest.raises(ValueError, match="^Frobenius degree must be at least 1$"):
             frobenius_colon(path_ideal, 2, 0)
 
@@ -188,16 +197,26 @@ class TestLevelKernel:
 
     def test_every_ideal_on_four_variables(self):
         degrees = [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]
-        checked = 0
+        checked = failing = 0
         for n in range(1, 5):
             ctx = context(n)
             for supports in all_antichains(n):
                 if supports == [frozenset()]:
                     continue
-                self._check(ctx.ideal([ctx.squarefree(s) for s in supports]), degrees)
+                ideal = ctx.ideal([ctx.squarefree(s) for s in supports])
+                self._check(ideal, degrees)
+                # generated in degree one or not at all: every degree of the
+                # oracle reads the criterion's verdict, so no threshold above
+                # degree one can change the answer
+                fg = is_finitely_generated(ideal)
+                for p in (2, 3, 5):
+                    report = degreewise_report(ideal, OracleParams(p, e_max=4))
+                    assert report == tuple((e, fg) for e in (2, 3, 4)), (ideal, p)
                 checked += 1
+                failing += not fg
         # Dedekind numbers 3, 6, 20, 168 less the zero and unit ideals
         assert checked == 1 + 4 + 18 + 166
+        assert failing == 98
 
     def test_random_ideals(self):
         rng = random.Random(1307)
@@ -220,9 +239,12 @@ class TestLevelKernel:
         assert max(max(g.exponents) for g in colon.generators) == 2**16
         with pytest.raises(ExponentLimitError):
             frobenius_colon(path_ideal, 2, 17)
-        # C_1 * C_15^[2] reaches exponent 2 + 2^16
+        # C_1 * C_15^[2] reaches exponent 2 + 2^16, in the generated part
+        # alone and in its sum with I^[2^16] that the verdict compares
         with pytest.raises(ExponentLimitError):
             degree_generation_ideal(path_ideal, 2, 16)
+        with pytest.raises(ExponentLimitError):
+            new_generators_vanish(path_ideal, 2, 16)
 
     def test_huge_exponents(self, path_ideal):
         # past 4,300 digits str() refuses an int, so the message must not need it
@@ -343,19 +365,8 @@ class TestGeneratedUpTo:
     def test_path(self, path_ideal):
         assert not generated_up_to(path_ideal, OracleParams())
 
-    def test_vacuous_range(self, path_ideal):
-        assert generated_up_to(path_ideal, OracleParams(p=2, e_max=3, k=3))
-
-    def test_vacuous_range_still_validates(self, ctx3):
-        # no degree is tested, but the ideal is checked as for k = 1
-        bad = (ctx3.unit_ideal(), ctx3.zero_ideal(), ctx3.ideal([mono(ctx3, 2, 0, 0)]))
-        for ideal in bad:
-            for k in (3, 4):
-                with pytest.raises(ValueError, match="oracle"):
-                    generated_up_to(ideal, OracleParams(e_max=3, k=k))
-
     def test_report_shape(self, path_ideal):
-        report = degreewise_report(path_ideal, OracleParams(p=2, e_max=3, k=1))
+        report = degreewise_report(path_ideal, OracleParams(p=2, e_max=3))
         assert [e for e, _ in report] == [2, 3]
         assert report[0][1] is False
 
@@ -379,8 +390,12 @@ class TestGeneratedUpTo:
             OracleParams(e_max=1)
         with pytest.raises(ValueError):
             OracleParams(e_max=5)
-        with pytest.raises(ValueError):
+        # the oracle checks generation in degree one; no threshold is set
+        with pytest.raises(TypeError):
             OracleParams(k=0)
+        with pytest.raises(TypeError):
+            OracleParams(k=2)
+        assert OracleParams().k == 1
 
 
 class TestCriterionInvariances:
