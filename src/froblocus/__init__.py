@@ -13,7 +13,6 @@ from .criterion import (
     degree_generation_ideal,
     degreewise_report,
     frobenius_colon,
-    generated_up_to,
     is_finitely_generated,
     new_generators_vanish,
 )
@@ -40,8 +39,6 @@ from .simplicial import (
     Face,
     SimplicialComplex,
     face_key,
-    face_monomial,
-    face_prime,
     format_face,
 )
 
@@ -66,11 +63,8 @@ __all__ = [
     "degree_generation_ideal",
     "degreewise_report",
     "face_key",
-    "face_monomial",
-    "face_prime",
     "format_face",
     "frobenius_colon",
-    "generated_up_to",
     "is_finitely_generated",
     "is_nci",
     "locus_algebraic",

@@ -25,7 +25,7 @@ from .locus import (
 )
 from .monomials import Monomial, MonomialIdeal
 from .parsing import ParseError, ProblemInput, parse_face, parse_problem
-from .simplicial import face_monomial, format_face
+from .simplicial import format_face
 
 
 class UsageError(Exception):
@@ -116,7 +116,7 @@ def _run_check(problem: ProblemInput, ns: argparse.Namespace) -> dict[str, Any]:
     context = problem.context
     face = parse_face(ns.face, context.n)
     ideal = problem.ideal
-    colon = ideal.colon(face_monomial(face, context))
+    colon = ideal.colon(context.squarefree(face))
     if colon.is_unit:
         raise ParseError(f"{format_face(face)} is not a face")
     offender = criterion_witness(colon)

@@ -110,11 +110,11 @@ def _characteristic(p: int) -> int:
 @dataclass(frozen=True)
 class OracleParams:
     """Bounds of the degree-wise generation oracle: the characteristic p and
-    the highest Frobenius degree e_max.  ``generated_up_to`` checks that no
-    degree ``2 <= e <= e_max`` adds generators, that is, generation in degree
-    ``k = 1``, a constant.  The cost follows ``e_max^2 * |L|^2`` for the level
-    antichain L of the module docstring, whatever p; the bounds are input
-    guards."""
+    the highest Frobenius degree e_max.  ``degreewise_report`` checks each
+    degree ``2 <= e <= e_max`` for new generators, that is, generation in
+    degree ``k = 1``, a constant.  The cost follows ``e_max^2 * |L|^2`` for
+    the level antichain L of the module docstring, whatever p; the bounds are
+    input guards."""
 
     p: int = 2
     e_max: int = 3
@@ -296,11 +296,3 @@ def degreewise_report(
 ) -> tuple[tuple[int, bool], ...]:
     """Per-degree oracle outcomes (e, vanishes) for 2 <= e <= e_max."""
     return _degree_verdicts(ideal, params.p, range(2, params.e_max + 1))
-
-
-def generated_up_to(ideal: MonomialIdeal, params: OracleParams = OracleParams()) -> bool:
-    """Bounded verification that no degree above 1 contributes generators.
-
-    This checks degrees up to params.e_max only; it is evidence, not proof.
-    """
-    return all(vanishes for _, vanishes in degreewise_report(ideal, params))

@@ -47,7 +47,6 @@ from .simplicial import (
     SimplicialComplex,
     face_key,
     face_mask,
-    face_monomial,
     format_face,
     nonface_ideal,
 )
@@ -142,7 +141,7 @@ def locus_algebraic(source: MonomialIdeal | SimplicialComplex | ProblemInput) ->
     ideal = problem.ideal
 
     def test(f: Face) -> Monomial | None:
-        return _criterion(ideal.colon(face_monomial(f, context)))
+        return _criterion(ideal.colon(context.squarefree(f)))
 
     return LocusResult(context, _maximal_locus_faces(problem.complex, test), "algebraic")
 

@@ -69,9 +69,6 @@ class RingContext:
     def monomial(self, exponents: Iterable[int]) -> Monomial:
         return Monomial(self, exponents)
 
-    def one(self) -> Monomial:
-        return Monomial(self, (0,) * self.n)
-
     def squarefree(self, support: Iterable[int]) -> Monomial:
         """The squarefree monomial whose support is the given index set."""
         indices = set(support)
@@ -82,12 +79,6 @@ class RingContext:
 
     def ideal(self, generators: Iterable[Monomial] = ()) -> MonomialIdeal:
         return MonomialIdeal(self, generators)
-
-    def zero_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(self, ())
-
-    def unit_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(self, (self.one(),))
 
 
 def _require_same_context(a: RingContext, b: RingContext) -> None:

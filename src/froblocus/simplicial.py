@@ -3,7 +3,7 @@
 A complex lives on the vertex index range ``0..n-1`` of a ring context, but
 carries its own *active* vertex universe, for one purpose: taking a link
 removes the linked vertices from it, so that
-``link(F).to_ideal(ctx) == I.colon(face_monomial(F, ctx))``.  Vertices in
+``link(F).to_ideal(ctx) == I.colon(ctx.squarefree(F))``.  Vertices in
 the universe that appear in no facet are non-faces (their variables
 generate); vertices outside it occur in no generator, so a ``ProblemInput``
 cones the complex over them: the same ideal's complex on all n vertices.
@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Iterable
 
 from .monomials import (
-    Monomial,
     MonomialIdeal,
     RingContext,
     minimal_transversals,
@@ -37,19 +36,6 @@ def face_key(face: Face) -> tuple[int, tuple[int, ...]]:
 def format_face(face: Face) -> str:
     """Render a face with 1-based vertex labels, e.g. ``{1,3}``."""
     return "{" + ",".join(str(v + 1) for v in sorted(face)) + "}"
-
-
-def face_monomial(face: Face, context: RingContext) -> Monomial:
-    """The squarefree monomial whose support is the face."""
-    return context.squarefree(face)
-
-
-def face_prime(face: Face, context: RingContext) -> MonomialIdeal:
-    """The prime ideal generated by the variables outside the face."""
-    for v in face:
-        if not 0 <= v < context.n:
-            raise ValueError(f"vertex {v} out of range 0..{context.n - 1}")
-    return nonface_ideal(context, [face], range(context.n))
 
 
 class SimplicialComplex:

@@ -12,8 +12,6 @@ from froblocus import (
     RingContext,
     SimplicialComplex,
     face_key,
-    face_monomial,
-    face_prime,
 )
 from froblocus.criterion import frobenius_colon
 
@@ -39,6 +37,18 @@ def ideal_of(ctx: RingContext, *supports: tuple[int, ...]) -> MonomialIdeal:
 def face(*vertices: int) -> frozenset[int]:
     """Face from 1-based vertex labels."""
     return frozenset(v - 1 for v in vertices)
+
+
+def unit_ideal(ctx: RingContext) -> MonomialIdeal:
+    """The ideal generated by the monomial 1."""
+    return ctx.ideal([ctx.squarefree(())])
+
+
+def face_prime(f: frozenset[int], ctx: RingContext) -> MonomialIdeal:
+    """The prime ideal generated by the variables outside the face, built
+    from the variables themselves rather than by Alexander duality, so that
+    the J checks share no kernel with the code they check."""
+    return ctx.ideal([ctx.squarefree([i]) for i in range(ctx.n) if i not in f])
 
 
 def all_antichains(n: int) -> list[list[frozenset[int]]]:
@@ -234,7 +244,7 @@ def _route(delta: SimplicialComplex, ctx: RingContext, route: str, prune: bool) 
         ideal = delta.to_ideal(ctx)
 
         def test(f):
-            return _criterion_of(ideal.colon(face_monomial(f, ctx)))
+            return _criterion_of(ideal.colon(ctx.squarefree(f)))
 
     else:
 
@@ -268,14 +278,14 @@ def brute_force_locus(
     every locus face, not only of the maximal ones.
     """
     if delta.facets == (delta.vertices,):  # the full simplex: the zero ideal
-        return BruteForceLocus((), (), ctx.unit_ideal(), method, {})
+        return BruteForceLocus((), (), unit_ideal(ctx), method, {})
     names = ("algebraic", "combinatorial") if method == "both" else (method,)
     routes = [_route(delta, ctx, name, prune) for name in names]
     if any(set(r) != set(routes[0]) for r in routes):
         raise AssertionError(f"routes disagree on {delta}")
     faces = tuple(sorted(routes[0], key=face_key))
     maximal = tuple(f for f in faces if not any(f < g for g in faces))
-    defining = ctx.unit_ideal()
+    defining = unit_ideal(ctx)
     for f in faces:
         defining = defining.intersection(face_prime(f, ctx))
     witnesses = {

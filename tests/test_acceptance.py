@@ -14,8 +14,6 @@ import pytest
 from froblocus import (
     RingContext,
     SimplicialComplex,
-    face_monomial,
-    face_prime,
     is_finitely_generated,
     is_nci,
     locus_algebraic,
@@ -28,6 +26,7 @@ from helpers import (
     context,
     exhaustive_complexes,
     face,
+    face_prime,
     ideal_of,
     random_complex,
     random_squarefree_ideal,
@@ -159,7 +158,7 @@ def face_colons(corpus_with_ideals):
     out = []
     for ctx, delta, ideal in corpus_with_ideals:
         for f in delta.faces():
-            colon = ideal.colon(face_monomial(f, ctx))
+            colon = ideal.colon(ctx.squarefree(f))
             out.append((ctx, delta, ideal, f, shared.setdefault(colon, colon)))
     return out
 

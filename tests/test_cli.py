@@ -34,7 +34,7 @@ class TestMonomialGrammar:
         assert parse_monomial("x_1*x_2*x_5", ctx).exponents == (1, 1, 0, 0, 1)
 
     def test_constant(self, ctx6):
-        assert parse_monomial("1", ctx6) == ctx6.one()
+        assert parse_monomial("1", ctx6) == ctx6.monomial((0,) * 6)
 
     def test_powers(self, ctx6):
         assert parse_monomial("x^2*z", ctx6).exponents == (2, 0, 1, 0, 0, 0)

@@ -33,10 +33,12 @@ from helpers import (
     context,
     exhaustive_complexes,
     face,
+    face_prime,
     ideal_of,
     random_complex,
     reference_criterion,
     reference_is_nci,
+    unit_ideal,
 )
 
 README = Path(__file__).parent.parent / "README.md"
@@ -97,14 +99,14 @@ class TestGoldenExamples:
 class TestEdgeCases:
     def test_zero_ideal(self):
         ctx = context(3)
-        result = non_fg_locus(ctx.zero_ideal())
+        result = non_fg_locus(ctx.ideal())
         assert result.empty
         assert result.defining_ideal.is_unit
 
     def test_unit_rejected(self):
         ctx = context(3)
         with pytest.raises(ValueError):
-            non_fg_locus(ctx.unit_ideal())
+            non_fg_locus(unit_ideal(ctx))
         with pytest.raises(ValueError):
             locus_algebraic(ctx.ideal([ctx.monomial((2, 0, 0))]))
 
@@ -151,7 +153,7 @@ class TestProblemNormalForm:
         "source, message",
         [
             (SimplicialComplex(3, []), "the void complex is not a valid input"),
-            (context(3).unit_ideal(), "the unit ideal is not a valid input"),
+            (unit_ideal(context(3)), "the unit ideal is not a valid input"),
             (
                 context(3).ideal([context(3).monomial((2, 0, 0))]),
                 "generators must be squarefree",
@@ -264,10 +266,8 @@ class TestResultInvariants:
 
     def test_defining_ideal_over_all_faces(self, example_one):
         ctx, _, ideal = example_one
-        from froblocus import face_prime
-
         result = non_fg_locus(ideal)
-        full = ctx.unit_ideal()
+        full = unit_ideal(ctx)
         for f in result.faces:
             full = full.intersection(face_prime(f, ctx))
         assert full == result.defining_ideal
@@ -481,8 +481,8 @@ class TestNci:
         ctx = context(4)
         assert not is_nci(ideal_of(ctx, (1, 2), (3, 4)))  # complete intersection
         assert not is_nci(ideal_of(ctx, (1,)))  # degree one
-        assert not is_nci(ctx.zero_ideal())
-        assert not is_nci(ctx.unit_ideal())
+        assert not is_nci(ctx.ideal())
+        assert not is_nci(unit_ideal(ctx))
 
     def test_more_nci_families(self):
         ctx = context(4)
@@ -531,7 +531,7 @@ class TestNci:
         offender = reference_criterion(ideal)
         if offender is None:
             assert result.empty and result.faces == (), ideal
-            assert result.defining_ideal == ctx.unit_ideal()
+            assert result.defining_ideal == unit_ideal(ctx)
             return True
         support = {i for g in ideal.generators for i, x in enumerate(g.exponents) if x}
         base = sorted(set(range(ctx.n)) - support)
@@ -547,7 +547,7 @@ class TestNci:
         found = 0
         for n in range(1, 6):
             ctx = context(n)
-            found += self._matches_reference(ctx.zero_ideal())
+            found += self._matches_reference(ctx.ideal())
             for supports in all_antichains(n):
                 found += self._matches_reference(ctx.ideal(map(ctx.squarefree, supports)))
         assert found > 600

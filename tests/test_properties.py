@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from froblocus import (
     SimplicialComplex,
-    face_monomial,
-    face_prime,
     is_finitely_generated,
     locus_algebraic,
     locus_combinatorial,
@@ -16,7 +14,7 @@ from froblocus import (
     non_fg_locus,
 )
 from froblocus.criterion import degree_generation_ideal, frobenius_colon
-from helpers import context, random_complex
+from helpers import context, face_prime, random_complex
 
 
 @st.composite
@@ -72,7 +70,7 @@ def test_link_colon_identity(delta):
     if ideal.is_unit:
         return
     for f in delta.faces():
-        assert delta.link(f).to_ideal(ctx) == ideal.colon(face_monomial(f, ctx))
+        assert delta.link(f).to_ideal(ctx) == ideal.colon(ctx.squarefree(f))
 
 
 @given(complexes())
@@ -82,7 +80,7 @@ def test_sandwich(delta):
     if ideal.is_unit:
         return
     for f in delta.faces():
-        colon = ideal.colon(face_monomial(f, ctx))
+        colon = ideal.colon(ctx.squarefree(f))
         assert ideal + colon == colon
         prime = face_prime(f, ctx)
         assert colon + prime == prime

@@ -4,8 +4,8 @@ import gc
 
 import pytest
 
-from froblocus import RingContext, SimplicialComplex, face_monomial, face_prime
-from helpers import context, core, face, ideal_of, sq
+from froblocus import RingContext, SimplicialComplex
+from helpers import context, core, face, face_prime, ideal_of, unit_ideal
 
 
 @pytest.fixture
@@ -112,11 +112,11 @@ class TestStanleyCorrespondence:
 
     def test_from_ideal_edge_cases(self):
         ctx = context(3)
-        assert SimplicialComplex.from_ideal(ctx.zero_ideal()).facets == (
+        assert SimplicialComplex.from_ideal(ctx.ideal()).facets == (
             face(1, 2, 3),
         )
         with pytest.raises(ValueError):
-            SimplicialComplex.from_ideal(ctx.unit_ideal())
+            SimplicialComplex.from_ideal(unit_ideal(ctx))
         with pytest.raises(ValueError):
             SimplicialComplex.from_ideal(ctx.ideal([ctx.monomial((2, 0, 0))]))
 
@@ -173,7 +173,7 @@ class TestLink:
         ideal = delta.to_ideal(ctx)
         for f in delta.faces():
             assert delta.link(f).to_ideal(ctx) == ideal.colon(
-                face_monomial(f, ctx)
+                ctx.squarefree(f)
             )
 
 
@@ -230,16 +230,13 @@ class TestFacePrimitives:
     def test_empty_and_full(self):
         ctx = context(3)
         assert face_prime(frozenset(), ctx) == ideal_of(ctx, (1,), (2,), (3,))
-        assert face_monomial(frozenset(), ctx) == ctx.one()
         assert face_prime(face(1, 2, 3), ctx).is_zero
-        assert face_monomial(face(1, 2), ctx) == sq(ctx, 1, 2)
+        assert ctx.squarefree(frozenset()) == ctx.monomial((0, 0, 0))
 
     def test_vertex_out_of_range(self):
         ctx = context(2)
         with pytest.raises(ValueError, match="out of range"):
-            face_prime(frozenset({9}), ctx)
-        with pytest.raises(ValueError, match="out of range"):
-            face_monomial(frozenset({2}), ctx)
+            ctx.squarefree(frozenset({2}))
 
     def test_sandwich(self):
         # I is contained in (I : x_F), contained in the face prime
@@ -258,7 +255,7 @@ class TestFacePrimitives:
                 continue
             delta = SimplicialComplex.from_ideal(ideal)
             for f in delta.faces():
-                colon = ideal.colon(face_monomial(f, ctx))
+                colon = ideal.colon(ctx.squarefree(f))
                 assert ideal + colon == colon
                 prime = face_prime(f, ctx)
                 assert colon + prime == prime
